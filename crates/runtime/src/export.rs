@@ -78,7 +78,7 @@ fn label_of(task: TaskId, graph: Option<&TaskGraph>) -> String {
             if l.is_empty() {
                 format!("t{}", task.0)
             } else {
-                l.clone()
+                l.to_string()
             }
         }
         _ => format!("t{}", task.0),

@@ -6,7 +6,8 @@
 //! plan, observer session, failure list and poisoned-region set — so one
 //! misbehaving tenant can neither poison nor starve another. Isolation is
 //! carried through the lock-free slab/deque hot path by tagging each
-//! task's slot with an `Arc<JobState>` and namespacing the dependency
+//! submitted job's task slots with an `Arc<JobState>` (an untagged slot
+//! belongs to the default job) and namespacing the dependency
 //! tracker with the generation-counted [`JobId`] (see `deps.rs`): two
 //! jobs touching the same [`crate::Region`] neither serialise nor
 //! exchange poison.
@@ -312,9 +313,10 @@ pub(crate) fn cleanse(poisoned: &mut Vec<PoisonedRegion>, w: &Region) {
 }
 
 /// One job's shared state: its fault domain (retry policy, fault plan,
-/// failures, poison) plus the admission/join accounting. Tasks hold an
-/// `Arc` to it through their slab slot, so the state outlives the handle
-/// while work is in flight.
+/// failures, poison) plus the admission/join accounting. A submitted
+/// job's tasks hold an `Arc` to it through their slab slot, so the state
+/// outlives the handle while work is in flight; the default job lives as
+/// long as the runtime and its tasks just borrow it.
 pub(crate) struct JobState {
     pub(crate) id: JobId,
     pub(crate) label: String,
@@ -323,7 +325,8 @@ pub(crate) struct JobState {
     /// Injection plan for this job's task attempts (worker kills stay
     /// pool-scoped).
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
-    /// Tracer + per-job observer fan-out captured by this job's bodies.
+    /// Tracer + per-job observer fan-out, borrowed by the run hook around
+    /// each of this job's task bodies.
     pub(crate) session: Arc<TraceSession>,
     pub(crate) max_in_flight: Option<usize>,
     /// Absolute completion deadline, fixed at submission; `None` when
@@ -519,8 +522,8 @@ impl JobState {
             None => Default::default(),
         };
         JobMetrics {
-            // Every settle passes through a worker running the task
-            // wrapper (cancel-skips included), so dispatched sits
+            // Every settle passes through a worker's run hook, which
+            // samples first (cancel-skips included), so dispatched sits
             // between completed and spawned and the differences are the
             // queue and run depths.
             queued: spawned.saturating_sub(dispatched),

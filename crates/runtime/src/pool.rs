@@ -36,7 +36,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::deque::{DequeStealer, WorkerDeque};
 use crate::fault::{FaultPlan, WatchdogConfig};
 use crate::scheduler::{ReadyQueues, ReadyTask, WORKER_DEQUE_CAP};
-use crate::task::{ExecBody, TaskId};
 use crate::trace::{TraceEventKind, Tracer, NO_TASK};
 
 thread_local! {
@@ -79,18 +78,20 @@ impl Completion {
     }
 }
 
-/// The runtime side of the pool: told when a task body finishes (cleanly
-/// or by panic) and responds with the tasks that became ready. `slot` is
-/// the task's slab slot, echoed back from [`ReadyTask::slot`]; the spent
-/// body is handed back so the client can decide to retry it.
+/// The runtime side of the pool: handed each popped task to execute,
+/// told when it finished (cleanly or by panic), and responds with the
+/// tasks that became ready. The spent task is handed back whole so the
+/// client can re-enqueue it as a retry.
 pub trait PoolClient: Send + Sync + 'static {
-    fn on_complete(
-        &self,
-        task: TaskId,
-        slot: u32,
-        panicked: Option<String>,
-        body: ExecBody,
-    ) -> Completion;
+    /// Execute `task` on the calling worker thread, inside the pool's
+    /// `catch_unwind`. The client brackets the body with whatever it
+    /// instruments, borrowing its own state instead of boxing a wrapper
+    /// closure per task; the default runs the bare body.
+    fn run(&self, task: &mut ReadyTask) {
+        task.body.run()
+    }
+
+    fn on_complete(&self, task: ReadyTask, panicked: Option<String>) -> Completion;
 
     /// The watchdog noticed a worker stuck on `slot`'s task for
     /// `running_ns`. Return a duplicate [`ReadyTask`] to enqueue as a
@@ -169,8 +170,10 @@ struct PoolShared {
     busy: Vec<AtomicBool>,
     /// Slab slot of the task each worker is currently executing
     /// (`u64::MAX` when idle), with the start time as nanoseconds since
-    /// `epoch`. Written by workers around each body, read by the
-    /// watchdog's straggler scan. Start is published *before* the slot,
+    /// `epoch`. Written by workers around each body only when
+    /// `soft_timeout` is set — the watchdog's straggler scan is the sole
+    /// reader, and a wall-clock read per task is not free. Start is
+    /// published *before* the slot,
     /// so a scan pairing the two can only over- never under-estimate an
     /// attempt's age — and an early hedge offer is safe (the client
     /// re-checks under the slot lock).
@@ -650,7 +653,7 @@ fn injected_death(who: usize, shared: &PoolShared) -> bool {
 }
 
 fn run_one(
-    task: ReadyTask,
+    mut task: ReadyTask,
     who: usize,
     local: Option<(&WorkerDeque<ReadyTask>, usize)>,
     shared: &PoolShared,
@@ -659,20 +662,22 @@ fn run_one(
     shared.executed[who].fetch_add(1, Ordering::Relaxed);
     shared.heartbeats[who].fetch_add(1, Ordering::Relaxed);
     shared.busy[who].store(true, Ordering::Relaxed);
-    let ReadyTask {
-        id, slot, mut body, ..
-    } = task;
-    // Publish what we are running for the straggler scan: start time
-    // first (Release), then the slot — see the `PoolShared` field docs.
-    shared.started_ns[who].store(shared.epoch.elapsed().as_nanos() as u64, Ordering::Release);
-    shared.current_slot[who].store(slot as u64, Ordering::Release);
-    let panicked = match catch_unwind(AssertUnwindSafe(|| body.run())) {
+    let hedging = shared.soft_timeout.is_some();
+    if hedging {
+        // Publish what we are running for the straggler scan: start time
+        // first (Release), then the slot — see the `PoolShared` field docs.
+        shared.started_ns[who].store(shared.epoch.elapsed().as_nanos() as u64, Ordering::Release);
+        shared.current_slot[who].store(task.slot as u64, Ordering::Release);
+    }
+    let panicked = match catch_unwind(AssertUnwindSafe(|| client.run(&mut task))) {
         Ok(()) => None,
         Err(payload) => Some(panic_message(payload)),
     };
-    shared.current_slot[who].store(u64::MAX, Ordering::Release);
+    if hedging {
+        shared.current_slot[who].store(u64::MAX, Ordering::Release);
+    }
     shared.busy[who].store(false, Ordering::Relaxed);
-    let completion = client.on_complete(id, slot, panicked, body);
+    let completion = client.on_complete(task, panicked);
     let n = completion.released.len();
     let mut nonlocal = 0usize;
     for t in completion.released {
@@ -864,6 +869,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::scheduler::SchedulerPolicy;
+    use crate::task::{ExecBody, TaskId};
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
@@ -873,13 +879,7 @@ mod tests {
     }
 
     impl PoolClient for CountingClient {
-        fn on_complete(
-            &self,
-            _task: TaskId,
-            _slot: u32,
-            panicked: Option<String>,
-            _body: ExecBody,
-        ) -> Completion {
+        fn on_complete(&self, _task: ReadyTask, panicked: Option<String>) -> Completion {
             if panicked.is_some() {
                 self.panics.fetch_add(1, Ordering::SeqCst);
             }
@@ -925,6 +925,8 @@ mod tests {
             critical: false,
             deadline_ns: crate::scheduler::NO_DEADLINE,
             home: crate::scheduler::NO_HOME,
+            probe: false,
+            exempt: false,
             seq: 0,
             body: ExecBody::once(body),
         }
@@ -1004,16 +1006,10 @@ mod tests {
             target: u64,
         }
         impl PoolClient for ChainClient {
-            fn on_complete(
-                &self,
-                task: TaskId,
-                _slot: u32,
-                _panicked: Option<String>,
-                _body: ExecBody,
-            ) -> Completion {
+            fn on_complete(&self, task: ReadyTask, _panicked: Option<String>) -> Completion {
                 let n = self.done.fetch_add(1, Ordering::SeqCst) + 1;
                 if n < self.target {
-                    Completion::released(vec![ready(task.0 + 1, || {})])
+                    Completion::released(vec![ready(task.id.0 + 1, || {})])
                 } else {
                     Completion::released(Vec::new())
                 }
@@ -1109,31 +1105,12 @@ mod tests {
             retried: AtomicU64,
         }
         impl PoolClient for RetryOnce {
-            fn on_complete(
-                &self,
-                task: TaskId,
-                slot: u32,
-                panicked: Option<String>,
-                body: ExecBody,
-            ) -> Completion {
+            fn on_complete(&self, task: ReadyTask, panicked: Option<String>) -> Completion {
                 if panicked.is_some() && self.retried.load(Ordering::SeqCst) == 0 {
                     self.retried.fetch_add(1, Ordering::SeqCst);
                     return Completion {
                         released: Vec::new(),
-                        retry: Some((
-                            ReadyTask {
-                                id: task,
-                                slot,
-                                gen: 0,
-                                priority: 0,
-                                critical: false,
-                                deadline_ns: crate::scheduler::NO_DEADLINE,
-                                home: crate::scheduler::NO_HOME,
-                                seq: 0,
-                                body,
-                            },
-                            Duration::from_millis(1),
-                        )),
+                        retry: Some((task, Duration::from_millis(1))),
                     };
                 }
                 self.done.fetch_add(1, Ordering::SeqCst);
@@ -1149,19 +1126,12 @@ mod tests {
         let runs = Arc::new(AtomicU64::new(0));
         let r = runs.clone();
         pool.push_external(ReadyTask {
-            id: TaskId(0),
-            slot: 0,
-            gen: 0,
-            priority: 0,
-            critical: false,
-            deadline_ns: crate::scheduler::NO_DEADLINE,
-            home: crate::scheduler::NO_HOME,
-            seq: 0,
             body: ExecBody::retryable(move || {
                 if r.fetch_add(1, Ordering::SeqCst) == 0 {
                     panic!("first attempt fails");
                 }
             }),
+            ..ready(0, || {})
         });
         wait_until(|| client.done.load(Ordering::SeqCst) == 1);
         assert_eq!(runs.load(Ordering::SeqCst), 2);

@@ -12,9 +12,10 @@
 //!
 //! Fault tolerance (see [`crate::fault`]) threads through here:
 //!
-//! * every task body is wrapped with a *preflight* that fails fast on
-//!   poisoned input regions and applies the configured fault-injection
-//!   plan (deterministic panics / stalls, for campaigns);
+//! * every task body runs behind a *preflight* that fails fast on
+//!   poisoned input regions, and under the configured fault-injection
+//!   plan (deterministic panics / stalls, for campaigns) — see the
+//!   [`PoolClient::run`] hook below;
 //! * a panicking task declared idempotent is re-enqueued by the
 //!   [`RetryPolicy`] with capped exponential backoff;
 //! * a task that settles as failed **poisons the regions it declared as
@@ -34,6 +35,7 @@
 //! pressure, and [`Runtime::drain`] winds the whole runtime down within
 //! a deadline.
 
+use std::borrow::Cow;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -581,6 +583,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// The job behind a slot's `job` field. Default-job tasks store no
+    /// handle — this is the one place that resolves the absence, so the
+    /// default job's reference count never moves on the task path.
+    fn job_of<'a>(&'a self, stored: &'a Option<Arc<JobState>>) -> &'a Arc<JobState> {
+        stored.as_ref().unwrap_or(&self.default_job)
+    }
+
     /// Record the failed task's written regions as poisoned *within
     /// `job`'s fault domain* and mark every in-flight task of that job
     /// reading them, so they fail fast instead of consuming garbage.
@@ -592,7 +601,7 @@ impl Shared {
     /// its declared reads into its slot *before* it checks the flag — so
     /// either this walk sees the spawner's reads, or the spawner sees
     /// the flag and checks the poison list itself.
-    fn poison_writes(&self, job: &Arc<JobState>, source: TaskId, label: &str, writes: &[Region]) {
+    fn poison_writes(&self, job: &JobState, source: TaskId, label: &str, writes: &[Region]) {
         if writes.is_empty() {
             return;
         }
@@ -617,7 +626,7 @@ impl Shared {
             if st.exempt || st.completed || st.poisoned_by.is_some() {
                 return;
             }
-            if st.job.as_ref().map(|j| j.id) != Some(job.id) {
+            if self.job_of(&st.job).id != job.id {
                 return;
             }
             if st
@@ -644,13 +653,12 @@ impl Shared {
         if remaining.is_empty() {
             job.has_poison.store(false, Ordering::SeqCst);
         }
-        let job_id = job.id;
         self.slab.for_each_live(|_, slot| {
             let mut st = slot.state.lock();
             if st.completed || st.poisoned_by.is_none() {
                 return;
             }
-            if st.job.as_ref().map(|j| j.id) != Some(job_id) {
+            if self.job_of(&st.job).id != job.id {
                 return;
             }
             if !st
@@ -667,10 +675,9 @@ impl Shared {
     /// pending victims.
     fn clear_job_poison(&self, job: &JobState) {
         job.poisoned.lock().clear();
-        let job_id = job.id;
         self.slab.for_each_live(|_, slot| {
             let mut st = slot.state.lock();
-            if st.job.as_ref().map(|j| j.id) == Some(job_id) {
+            if self.job_of(&st.job).id == job.id {
                 st.poisoned_by = None;
             }
         });
@@ -709,106 +716,91 @@ impl Shared {
     }
 
     /// Settle a task that will not retry: publish its failure/poison
-    /// into its job's fault domain, free its slot and collect the
-    /// successors it released. Returns the job the task belonged to
-    /// (`None` for exempt sentinels) so the caller can run the job-side
-    /// accounting after the global bookkeeping — or `None` overall when
-    /// this completion is a *duplicate*: a hedged task's losing copy
-    /// arriving after the winner already settled the slot (task ids are
-    /// never reused, so a mismatched or completed slot is proof).
+    /// into its job's fault domain, release its successors and retire
+    /// its slot. Returns the released tasks, whether the task was an
+    /// exempt sentinel (no job accounting) and the submitted job's
+    /// handle moved out of the slot (`None`: the default job) — or
+    /// `None` overall when this completion is a *duplicate*: a hedged
+    /// task's losing copy arriving after the winner already settled the
+    /// slot (see [`crate::task::TaskSlot::lock_live`]).
+    ///
+    /// A task that succeeded holds its slot lock exactly once, from the
+    /// duplicate check to the retire: successors are walked in place
+    /// (this is the only path that takes a second slot lock while
+    /// holding one, always predecessor → successor, so it cannot cycle)
+    /// and `label`/`writes` stay where they are, keeping their
+    /// allocations for the slot's next tenant. Only a failure gives the
+    /// lock up in between, because poisoning walks every live slot.
     #[allow(clippy::type_complexity)]
     fn settle(
         &self,
         task: TaskId,
         slot_idx: u32,
+        gen: u64,
         panicked: Option<String>,
-    ) -> Option<(Vec<ReadyTask>, Option<Arc<JobState>>)> {
+    ) -> Option<(Vec<ReadyTask>, bool, Option<Arc<JobState>>)> {
         let slot = self.slab.slot(slot_idx);
-        let (succs, label, attempts, poisoned_by, writes, job, was_cancelled) = {
-            let mut st = slot.state.lock();
-            if st.tid != task || st.completed {
-                return None;
-            }
-            st.completed = true;
-            (
-                std::mem::take(&mut st.succs),
-                std::mem::take(&mut st.label),
-                st.attempts,
-                st.poisoned_by.take(),
-                std::mem::take(&mut st.writes),
-                st.job.take(),
-                st.cancelled,
-            )
-        };
-        let mut failure = None;
-        if let Some(msg) = panicked {
-            failure = Some(TaskFailure {
-                task,
-                label: label.clone(),
-                attempts,
-                error: TaskError::Panicked(msg),
-            });
-        } else if was_cancelled {
+        let mut st = slot.lock_live(gen)?;
+        st.completed = true;
+        let exempt = st.exempt;
+        let job = st.job.take();
+        let error = if let Some(msg) = panicked {
+            Some(TaskError::Panicked(msg))
+        } else if st.cancelled {
             RuntimeStats::bump(&self.stats.tasks_cancelled);
-            failure = Some(TaskFailure {
-                task,
-                label: label.clone(),
-                attempts,
-                error: TaskError::Cancelled,
-            });
-        } else if let Some((source, source_label)) = poisoned_by {
+            Some(TaskError::Cancelled)
+        } else if let Some((source, source_label)) = st.poisoned_by.take() {
             RuntimeStats::bump(&self.stats.poisoned_tasks);
-            failure = Some(TaskFailure {
-                task,
-                label: label.clone(),
-                attempts,
-                error: TaskError::Poisoned {
-                    source,
-                    source_label,
-                },
-            });
+            Some(TaskError::Poisoned {
+                source,
+                source_label,
+            })
         } else {
             // Tasks that ran to success: bucket by failed attempts.
-            let bucket = (attempts as usize).min(RETRY_HIST_BUCKETS - 1);
+            let bucket = (st.attempts as usize).min(RETRY_HIST_BUCKETS - 1);
             RuntimeStats::bump(&self.stats.retry_hist[bucket]);
-        }
-        if let Some(f) = failure {
+            None
+        };
+        if let Some(error) = error {
             RuntimeStats::bump(&self.stats.failed_tasks);
-            if let Some(job) = &job {
+            if !exempt {
+                let label = std::mem::take(&mut st.label).into_owned();
+                let writes = std::mem::take(&mut st.writes);
+                let attempts = st.attempts;
+                drop(st);
+                let job = self.job_of(&job);
                 // A cancelled skip does not poison: the body never ran,
                 // so nothing was half-written.
-                if !matches!(f.error, TaskError::Cancelled) {
+                if !matches!(error, TaskError::Cancelled) {
                     self.poison_writes(job, task, &label, &writes);
                 }
                 job.failed.fetch_add(1, Ordering::Relaxed);
-                job.failures.lock().push(f);
+                job.failures.lock().push(TaskFailure {
+                    task,
+                    label,
+                    attempts,
+                    error,
+                });
+                st = slot.state.lock();
             }
         }
-        self.slab.free(slot_idx);
         let mut released = Vec::new();
-        for s in succs {
+        for &s in &st.succs {
             let sslot = self.slab.slot(s);
             if sslot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let sgen = sslot.gen.load(Ordering::Relaxed);
-                let mut st = sslot.state.lock();
-                let body = st.body.take().expect("ready successor must have a body");
+                let mut sst = sslot.state.lock();
+                let body = sst.body.take().expect("ready successor must have a body");
                 if let Some(t) = &self.tracer {
-                    t.emit(TraceEventKind::Ready, st.tid, s, sgen, 0);
+                    t.emit(TraceEventKind::Ready, sst.tid, s, sgen, 0);
                 }
-                released.push(ReadyTask {
-                    id: st.tid,
-                    slot: s,
-                    gen: sgen,
-                    priority: st.priority,
-                    critical: st.critical,
-                    deadline_ns: st.deadline_ns,
-                    home: st.home,
-                    seq: 0,
-                    body,
-                });
+                released.push(sst.ready(s, sgen, body));
             }
         }
-        Some((released, job))
+        self.slab.retire(slot_idx, &mut st);
+        drop(st);
+        self.slab.recycle(slot_idx);
+        Some((released, exempt, job))
     }
 
     /// Deadline expiry for one registered job. A job that already
@@ -1011,91 +1003,20 @@ fn sampler_loop(
     }
 }
 
-/// Runs on the worker thread before the user body. Returns `false` when
-/// the body must be skipped (poisoned input, or the task's job was
-/// cancelled). Cancelled skips mark the slot so `settle` can record a
-/// [`TaskError::Cancelled`].
-fn preflight(shared: &Weak<Shared>, tid: TaskId, slot: u32, exempt: bool) -> bool {
-    if exempt {
-        return true;
-    }
-    let Some(shared) = shared.upgrade() else {
-        return true;
-    };
-    let poison = shared.has_poison.load(Ordering::Acquire);
-    let cancel = shared.any_cancelled.load(Ordering::Acquire);
-    if !poison && !cancel {
-        return true;
-    }
-    let mut st = shared.slab.slot(slot).state.lock();
-    if st.tid != tid {
-        return true;
-    }
-    if cancel
-        && st
-            .job
-            .as_ref()
-            .is_some_and(|j| j.cancelled.load(Ordering::SeqCst))
-    {
-        st.cancelled = true;
-        return false;
-    }
-    if poison && st.poisoned_by.is_some() {
-        return false;
-    }
-    true
-}
-
-/// Fault injection for this attempt: panics or stalls per the plan. Runs
-/// *inside* the observed bracket (after `task_start`), so an injected
-/// panic reports start→fault to observers and the tracer exactly like a
-/// body panic — but still *before* the user body, which is what makes
-/// declaring such tasks idempotent sound in fault campaigns.
-fn inject(shared: &Weak<Shared>, tid: TaskId, slot: u32, exempt: bool, plan: Option<&FaultPlan>) {
-    if exempt {
-        return;
-    }
-    let Some(plan) = plan else {
-        return;
-    };
-    let Some(shared) = shared.upgrade() else {
-        return;
-    };
-    let attempt = {
-        let st = shared.slab.slot(slot).state.lock();
-        if st.tid == tid {
-            st.attempts
-        } else {
-            0
-        }
-    };
-    match plan.decide(tid, attempt) {
-        Some(InjectedFault::Panic) => {
-            panic!("injected fault: {tid:?} attempt {attempt}");
-        }
-        Some(InjectedFault::Stall(d)) => std::thread::sleep(d),
-        None => {}
-    }
-}
-
 /// Innermost program-capture bracket: installs the thread-local stream
 /// sink, times the body and, on success, files the duration and any
 /// emitted events with the runtime's [`ProgramCapture`]. An unwinding
 /// body records nothing (the sink guard restores the thread state and
 /// discards the partial stream) — only successful attempts measure.
-fn record_body(shared: &Weak<Shared>, tid: TaskId, f: impl FnOnce()) {
+fn record_body(cap: &ProgramCapture, tid: TaskId, f: impl FnOnce()) {
     let guard = SinkGuard::install();
     let t0 = std::time::Instant::now();
     f();
     let ns = t0.elapsed().as_nanos() as u64;
     let events = guard.finish();
-    if let Some(shared) = shared.upgrade() {
-        if let Some(cap) = &shared.capture {
-            cap.durations.lock().push((tid, ns));
-            if !events.is_empty() {
-                cap.streams.lock().push((tid, events));
-            }
-        }
+    cap.durations.lock().push((tid, ns));
+    if !events.is_empty() {
+        cap.streams.lock().push((tid, events));
     }
 }
 
@@ -1105,8 +1026,8 @@ fn record_body(shared: &Weak<Shared>, tid: TaskId, f: impl FnOnce()) {
 /// plane off this is a single `Option` branch around a direct call.
 #[inline]
 fn timed_body(
-    plane: &Option<Arc<crate::telemetry::TelemetryPlane>>,
-    jt: &Option<Arc<crate::telemetry::JobTelemetry>>,
+    plane: Option<&crate::telemetry::TelemetryPlane>,
+    jt: Option<&crate::telemetry::JobTelemetry>,
     f: impl FnOnce(),
 ) {
     match plane {
@@ -1120,117 +1041,6 @@ fn timed_body(
             }
         }
         None => f(),
-    }
-}
-
-/// Wrap a task body with the preflight (poison fail-fast), fault
-/// injection, program capture, body timing (when the telemetry plane is
-/// on), and the trace-session notifications (tracer + observer). A
-/// poisoned task skips without starting; an injected panic fires inside
-/// the observed bracket but *before* the user body, so under pure
-/// injection even a read-modify-write body never runs half-way.
-#[allow(clippy::too_many_arguments)]
-fn instrument(
-    body: ExecBody,
-    tid: TaskId,
-    slot: u32,
-    gen: u64,
-    critical: bool,
-    exempt: bool,
-    capture: bool,
-    shared: Weak<Shared>,
-    session: Arc<TraceSession>,
-    plan: Option<Arc<FaultPlan>>,
-    plane: Option<Arc<crate::telemetry::TelemetryPlane>>,
-    jt: Option<Arc<crate::telemetry::JobTelemetry>>,
-) -> ExecBody {
-    match body {
-        ExecBody::Once(f) => {
-            let f = f.expect("a fresh task body must be present");
-            ExecBody::once(move || {
-                if !preflight(&shared, tid, slot, exempt) {
-                    session.task_skipped(tid, slot, gen);
-                    return;
-                }
-                run_observed(
-                    || {
-                        inject(&shared, tid, slot, exempt, plan.as_deref());
-                        timed_body(&plane, &jt, || {
-                            if capture {
-                                record_body(&shared, tid, f);
-                            } else {
-                                f()
-                            }
-                        });
-                    },
-                    &session,
-                    tid,
-                    slot,
-                    gen,
-                    critical,
-                );
-            })
-        }
-        ExecBody::Retryable(f) => ExecBody::retryable(move || {
-            if !preflight(&shared, tid, slot, exempt) {
-                session.task_skipped(tid, slot, gen);
-                return;
-            }
-            run_observed(
-                || {
-                    inject(&shared, tid, slot, exempt, plan.as_deref());
-                    timed_body(&plane, &jt, || {
-                        if capture {
-                            record_body(&shared, tid, || (*f)());
-                        } else {
-                            (*f)()
-                        }
-                    });
-                },
-                &session,
-                tid,
-                slot,
-                gen,
-                critical,
-            );
-        }),
-    }
-}
-
-/// Outermost wrap for job-layer spawns: on the task's *first* dispatch
-/// (retries and hedged duplicates share the one-shot guard and record
-/// nothing) measure the admission→dispatch delay and feed it to the
-/// job's metrics and, when configured, the adaptive shed controller.
-fn with_dispatch_probe(body: ExecBody, job: Arc<JobState>, shared: Weak<Shared>) -> ExecBody {
-    let admitted_at = Instant::now();
-    let fired = AtomicBool::new(false);
-    let sample = move || {
-        if fired.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let ns = admitted_at.elapsed().as_nanos() as u64;
-        job.record_queue_delay(ns);
-        if let Some(s) = shared.upgrade() {
-            if let Some(ctl) = &s.shed {
-                ctl.observe(ns);
-            }
-            if let Some(p) = &s.telemetry {
-                p.record_queue_delay(ns);
-            }
-        }
-    };
-    match body {
-        ExecBody::Once(f) => {
-            let f = f.expect("a fresh task body must be present");
-            ExecBody::once(move || {
-                sample();
-                f()
-            })
-        }
-        ExecBody::Retryable(f) => ExecBody::retryable(move || {
-            sample();
-            (*f)()
-        }),
     }
 }
 
@@ -1278,75 +1088,176 @@ fn run_observed(
     session.task_complete(tid, slot, gen);
 }
 
+impl Shared {
+    /// Runs on the worker thread before the user body. Returns `false`
+    /// when the body must be skipped (poisoned input, or the task's job
+    /// was cancelled). Cancelled skips mark the slot so `settle` can
+    /// record a [`TaskError::Cancelled`].
+    fn preflight(&self, tid: TaskId, slot: u32, job: &JobState) -> bool {
+        let poison = self.has_poison.load(Ordering::Acquire);
+        let cancel = self.any_cancelled.load(Ordering::Acquire);
+        if !poison && !cancel {
+            return true;
+        }
+        let mut st = self.slab.slot(slot).state.lock();
+        if st.tid != tid {
+            return true;
+        }
+        if cancel && job.cancelled.load(Ordering::SeqCst) {
+            st.cancelled = true;
+            return false;
+        }
+        !(poison && st.poisoned_by.is_some())
+    }
+
+    /// Fault injection for this attempt: panics or stalls per the plan.
+    /// Runs *inside* the observed bracket (after `task_start`), so an
+    /// injected panic reports start→fault to observers and the tracer
+    /// exactly like a body panic — but still *before* the user body,
+    /// which is what makes declaring such tasks idempotent sound in
+    /// fault campaigns.
+    fn inject(&self, tid: TaskId, slot: u32, plan: &FaultPlan) {
+        let attempt = {
+            let st = self.slab.slot(slot).state.lock();
+            if st.tid == tid {
+                st.attempts
+            } else {
+                0
+            }
+        };
+        match plan.decide(tid, attempt) {
+            Some(InjectedFault::Panic) => {
+                panic!("injected fault: {tid:?} attempt {attempt}");
+            }
+            Some(InjectedFault::Stall(d)) => std::thread::sleep(d),
+            None => {}
+        }
+    }
+
+    /// Dispatch of a task that must look at its slot first — a submitted
+    /// job's task or a hedged duplicate. Takes the admission stamp out
+    /// of the slot (retries and duplicates find it gone and record
+    /// nothing), feeds the admission→dispatch delay to the job's
+    /// metrics and, when configured, the adaptive shed controller and
+    /// the telemetry plane — and hands back the job, which must outlive
+    /// a concurrent settle by the task's other copy. `None` when that
+    /// copy already settled the slot.
+    fn dispatch_probe(&self, slot: u32, gen: u64) -> Option<Arc<JobState>> {
+        let (job, admitted_at) = {
+            let mut st = self.slab.slot(slot).lock_live(gen)?;
+            (Arc::clone(self.job_of(&st.job)), st.admitted_at.take())
+        };
+        if let Some(at) = admitted_at {
+            let ns = at.elapsed().as_nanos() as u64;
+            job.record_queue_delay(ns);
+            if let Some(ctl) = &self.shed {
+                ctl.observe(ns);
+            }
+            if let Some(p) = &self.telemetry {
+                p.record_queue_delay(ns);
+            }
+        }
+        Some(job)
+    }
+}
+
 impl PoolClient for Shared {
-    fn on_complete(
-        &self,
-        task: TaskId,
-        slot_idx: u32,
-        panicked: Option<String>,
-        body: ExecBody,
-    ) -> Completion {
+    /// The whole task envelope, borrowed: dispatch probe, preflight
+    /// (poison fail-fast), then — inside the trace-session bracket
+    /// (tracer + observer) — fault injection, body timing (when the
+    /// telemetry plane is on), program capture and the user body. A
+    /// poisoned task skips without starting; an injected panic fires
+    /// inside the observed bracket but *before* the user body, so under
+    /// pure injection even a read-modify-write body never runs half-way.
+    fn run(&self, task: &mut ReadyTask) {
+        let (tid, slot, gen) = (task.id, task.slot, task.gen);
+        let mut held = None;
+        if task.probe {
+            held = self.dispatch_probe(slot, gen);
+            if held.is_none() {
+                // The hedge winner settled (and its slot may already
+                // serve another task): nothing left to run or account,
+                // in either fault domain.
+                return;
+            }
+        }
+        let job = self.job_of(&held);
+        if !task.exempt && !self.preflight(tid, slot, job) {
+            job.session.task_skipped(tid, slot, gen);
+            return;
+        }
+        let (plan, plane) = if task.exempt {
+            (None, None)
+        } else {
+            (job.fault_plan.as_deref(), self.telemetry.as_deref())
+        };
+        let body = &mut task.body;
+        run_observed(
+            || {
+                if let Some(plan) = plan {
+                    self.inject(tid, slot, plan);
+                }
+                timed_body(plane, job.telemetry.as_deref(), || match &self.capture {
+                    Some(cap) => record_body(cap, tid, || body.run()),
+                    None => body.run(),
+                });
+            },
+            &job.session,
+            tid,
+            slot,
+            gen,
+            task.critical,
+        );
+    }
+
+    fn on_complete(&self, task: ReadyTask, panicked: Option<String>) -> Completion {
+        let (tid, slot_idx) = (task.id, task.slot);
         if panicked.is_some() {
-            let slot = self.slab.slot(slot_idx);
-            let mut st = slot.state.lock();
-            if st.tid != task || st.completed {
+            let Some(mut st) = self.slab.slot(slot_idx).lock_live(task.gen) else {
                 // A hedged task's losing copy panicked after the winner
                 // settled: the task is done, nothing to account.
                 return Completion::released(Vec::new());
-            }
+            };
             RuntimeStats::bump(&self.stats.panicked);
             st.attempts += 1;
             // The retry budget is the *job's*: each tenant pays for its
             // own re-executions. Cancelled jobs and a terminated runtime
             // stop retrying immediately.
-            let retry_allowed = st.job.as_ref().is_some_and(|j| {
-                st.attempts < j.retry.max_attempts && !j.cancelled.load(Ordering::Relaxed)
-            }) && !self.terminated.load(Ordering::Relaxed);
-            if st.idempotent && body.is_retryable() && retry_allowed {
+            let job = self.job_of(&st.job);
+            if st.idempotent
+                && task.body.is_retryable()
+                && st.attempts < job.retry.max_attempts
+                && !job.cancelled.load(Ordering::Relaxed)
+                && !self.terminated.load(Ordering::Relaxed)
+            {
                 // Retry: the task stays registered and outstanding; the
-                // pool re-enqueues the body after the backoff.
+                // pool re-enqueues it, as dispatched, after the backoff.
                 RuntimeStats::bump(&self.stats.retried);
-                let gen = slot.gen.load(Ordering::Relaxed);
                 if let Some(t) = &self.tracer {
                     t.emit(
                         TraceEventKind::Retry,
-                        task,
+                        tid,
                         slot_idx,
-                        gen,
+                        task.gen,
                         st.attempts as u64,
                     );
                 }
-                let delay = st
-                    .job
-                    .as_ref()
-                    .expect("retry_allowed implies a job")
-                    .retry
-                    .backoff_after(st.attempts);
-                let retry_task = ReadyTask {
-                    id: task,
-                    slot: slot_idx,
-                    gen,
-                    priority: st.priority,
-                    critical: st.critical,
-                    deadline_ns: st.deadline_ns,
-                    home: st.home,
-                    seq: 0,
-                    body,
-                };
+                let delay = job.retry.backoff_after(st.attempts);
                 return Completion {
                     released: Vec::new(),
-                    retry: Some((retry_task, delay)),
+                    retry: Some((task, delay)),
                 };
             }
         }
-        let Some((released, job)) = self.settle(task, slot_idx, panicked) else {
+        let Some((released, exempt, job)) = self.settle(tid, slot_idx, task.gen, panicked) else {
             // Duplicate completion (hedge loser): the winner already ran
             // every piece of accounting below. Touching any counter here
             // would double-count.
             return Completion::released(Vec::new());
         };
         self.stats.completed.add(1);
-        if let Some(job) = job {
+        if !exempt {
+            let job = self.job_of(&job);
             // Free the admission slot *before* waking joiners and blocked
             // spawners, so anyone woken observes the capacity. The
             // default job carries no per-job counters (see `admit`).
@@ -1402,7 +1313,7 @@ impl PoolClient for Shared {
         if st.completed || st.cancelled || st.hedged || !st.idempotent {
             return None;
         }
-        let job = st.job.as_ref()?;
+        let job = self.job_of(&st.job);
         if job.cancelled.load(Ordering::Relaxed) {
             return None;
         }
@@ -1412,18 +1323,10 @@ impl PoolClient for Shared {
         let body = st.hedge_body.as_ref()?.duplicate()?;
         st.hedged = true;
         RuntimeStats::bump(&self.stats.tasks_hedged);
-        let gen = slot.gen.load(Ordering::Relaxed);
-        Some(ReadyTask {
-            id: st.tid,
-            slot: slot_idx,
-            gen,
-            priority: st.priority,
-            critical: st.critical,
-            deadline_ns: st.deadline_ns,
-            home: st.home,
-            seq: 0,
-            body,
-        })
+        let mut dup = st.ready(slot_idx, slot.gen.load(Ordering::Relaxed), body);
+        // The winner may settle while the duplicate waits in a queue.
+        dup.probe = true;
+        Some(dup)
     }
 }
 
@@ -1604,6 +1507,12 @@ impl Runtime {
         }
     }
 
+    /// The task slab, for tests that inspect retired slots.
+    #[cfg(test)]
+    pub(crate) fn slab(&self) -> &TaskSlab {
+        &self.shared.slab
+    }
+
     /// Number of worker threads the pool was built with.
     pub fn workers(&self) -> usize {
         self.pool.workers()
@@ -1626,12 +1535,14 @@ impl Runtime {
         DataHandle::new(name, value)
     }
 
-    /// Begin building a task (in the implicit default job).
-    pub fn task(&self, label: impl Into<String>) -> TaskBuilder<'_> {
+    /// Begin building a task (in the implicit default job). A literal
+    /// label is borrowed and an owned `String` moved all the way into
+    /// the task's slot — neither is copied.
+    pub fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self,
             job: &self.shared.default_job,
-            meta: TaskMeta::new(label),
+            meta: TaskMeta::labelled(label),
             body: None,
         }
     }
@@ -1644,8 +1555,7 @@ impl Runtime {
 
     /// Submit a task with explicit metadata and executable payload.
     pub fn spawn_exec(&self, meta: TaskMeta, body: ExecBody) -> TaskId {
-        let job = Arc::clone(&self.shared.default_job);
-        self.spawn_blocking(&job, meta, body)
+        self.spawn_blocking(&self.shared.default_job, meta, body)
     }
 
     /// Blocking spawn into `job`: waits out [`AdmissionError::Busy`];
@@ -1692,8 +1602,7 @@ impl Runtime {
     /// the whole batch (the returned ids then refer to tasks that never
     /// run), mirroring [`TaskBuilder::spawn`].
     pub fn spawn_many(&self, tasks: Vec<BatchTask>) -> Vec<TaskId> {
-        let job = Arc::clone(&self.shared.default_job);
-        self.spawn_many_blocking(&job, tasks)
+        self.spawn_many_blocking(&self.shared.default_job, tasks)
     }
 
     /// Blocking batched spawn into `job`; see [`Runtime::spawn_many`].
@@ -1764,16 +1673,21 @@ impl Runtime {
                 gen,
             })
             .collect();
-        let mut deadlines = Vec::with_capacity(n);
+        // Tasks that declare accesses publish their slots before the
+        // tracker makes them discoverable; the rest fill theirs under
+        // the one lock `wire_spawn` takes anyway.
         for (t, &me) in tasks.iter().zip(&refs) {
-            deadlines.push(self.fill_slot(job, &t.meta, false, me));
+            if t.meta.tracked() {
+                let mut st = shared.slab.slot(me.slot).state.lock();
+                self.fill_slot(&mut st, job, &t.meta, false, me);
+            }
         }
         // One ascending-order sweep over the union of the batch's
         // shards; later batch entries observe earlier ones as ordinary
         // predecessors (the scoreboard is applied in batch order under
         // the one critical section).
         let mut preds_out: Vec<Vec<TaskRef>> = Vec::with_capacity(n);
-        if tasks.iter().any(|t| !t.meta.accesses.is_empty()) {
+        if tasks.iter().any(|t| t.meta.tracked()) {
             let entries: Vec<(TaskRef, &[Access])> = refs
                 .iter()
                 .zip(&tasks)
@@ -1803,9 +1717,7 @@ impl Runtime {
             let me = refs[i];
             ids.push(me.tid);
             let body = task.body.expect("checked in spawn_many_blocking");
-            if let Some(t) =
-                self.wire_spawn(job, task.meta, body, false, me, deadlines[i], preds, poison)
-            {
+            if let Some(t) = self.wire_spawn(job, task.meta, body, false, me, preds, poison) {
                 ready.push(t);
             }
         }
@@ -2023,7 +1935,8 @@ impl Runtime {
 
     /// The spawn protocol proper. The caller has already reserved
     /// admission for non-exempt tasks; exempt sentinels bypass admission
-    /// and job accounting entirely (their `st.job` stays `None`).
+    /// and job accounting entirely (both key on `st.exempt`; a submitted
+    /// job's sentinel still holds the job, for its observer session).
     fn spawn_scoped(
         &self,
         job: &Arc<JobState>,
@@ -2043,13 +1956,22 @@ impl Runtime {
             slot: slot_idx,
             gen,
         };
-        let deadline_ns = self.fill_slot(job, &meta, exempt, me);
         // Dependency discovery: only the shards covering the declared
-        // regions are locked; access-free tasks skip the tracker whole.
+        // regions are locked; access-free tasks skip the tracker whole —
+        // and with it the early slot fill, which exists only so that
+        // whoever discovers the task through the tracker (a successor's
+        // criticality walk, a poisoner) finds its slot published.
         // The job id namespaces the region table, so concurrent jobs
         // touching the same datum never serialise on false edges.
         let mut preds: Vec<TaskRef> = Vec::new();
-        if !meta.accesses.is_empty() {
+        if meta.tracked() {
+            self.fill_slot(
+                &mut shared.slab.slot(slot_idx).state.lock(),
+                job,
+                &meta,
+                exempt,
+                me,
+            );
             shared
                 .tracker
                 .submit(job.id.key(), me, &meta.accesses, &mut preds);
@@ -2068,7 +1990,7 @@ impl Runtime {
             fence(Ordering::SeqCst);
             job.has_poison.load(Ordering::SeqCst)
         };
-        if let Some(t) = self.wire_spawn(job, meta, body, exempt, me, deadline_ns, preds, poison) {
+        if let Some(t) = self.wire_spawn(job, meta, body, exempt, me, preds, poison) {
             // Affine push: a task body spawning on a worker thread keeps
             // its ready children on that worker's own deque.
             self.pool.push_affine(t);
@@ -2076,35 +1998,41 @@ impl Runtime {
         tid
     }
 
-    /// Publish a freshly allocated slot's metadata before the task
-    /// becomes visible in the dependency table; returns the task's
-    /// scheduler deadline. The declared reads must land here *before*
-    /// the spawn path's poison-flag load — that ordering (fill, fence,
-    /// flag load) pairs with the poisoner side so that a racing
-    /// `poison_writes` can never miss the task.
-    fn fill_slot(&self, job: &Arc<JobState>, meta: &TaskMeta, exempt: bool, me: TaskRef) -> u64 {
-        let shared = &*self.shared;
-        let slot = shared.slab.slot(me.slot);
-        // Only guaranteed jobs' tasks carry an EDF deadline into the
-        // scheduler: a best-effort job past its deadline is *reaped*
-        // (cancelled), not raced for.
-        let deadline_ns = if exempt || job.qos.sheddable() {
-            crate::scheduler::NO_DEADLINE
-        } else {
-            job.deadline_at.map_or(crate::scheduler::NO_DEADLINE, |d| {
-                d.saturating_duration_since(shared.epoch).as_nanos() as u64
-            })
-        };
-        let mut st = slot.state.lock();
+    /// Write a freshly allocated slot's metadata (all but the label and
+    /// what only `wire_spawn` knows). For a task with declared accesses
+    /// this runs *before* the task becomes visible in the dependency
+    /// table, and its reads must land before the spawn path's
+    /// poison-flag load — that ordering (fill, fence, flag load) pairs
+    /// with the poisoner side so that a racing `poison_writes` can never
+    /// miss the task.
+    fn fill_slot(
+        &self,
+        st: &mut crate::task::SlotState,
+        job: &Arc<JobState>,
+        meta: &TaskMeta,
+        exempt: bool,
+        me: TaskRef,
+    ) {
+        debug_assert!(
+            st.job.is_none() && st.reads.is_empty() && st.writes.is_empty(),
+            "slot filled twice"
+        );
         st.tid = me.tid;
         st.cost = meta.cost;
         st.priority = meta.priority;
         st.idempotent = meta.idempotent;
         st.exempt = exempt;
-        st.job = (!exempt).then(|| Arc::clone(job));
-        st.deadline_ns = deadline_ns;
+        st.job = (!job.is_default()).then(|| Arc::clone(job));
+        // Only guaranteed jobs' tasks carry an EDF deadline into the
+        // scheduler: a best-effort job past its deadline is *reaped*
+        // (cancelled), not raced for.
+        st.deadline_ns = match job.deadline_at {
+            Some(d) if !exempt && !job.qos.sheddable() => {
+                d.saturating_duration_since(self.shared.epoch).as_nanos() as u64
+            }
+            _ => crate::scheduler::NO_DEADLINE,
+        };
         st.home = self.home_cluster_for(meta);
-        st.label.push_str(&meta.label);
         st.reads.extend(
             meta.accesses
                 .iter()
@@ -2117,7 +2045,6 @@ impl Runtime {
                 .filter(|a| a.mode.writes())
                 .map(|a| a.region),
         );
-        deadline_ns
     }
 
     /// Locality-aware placement: route a task to the cluster whose
@@ -2155,15 +2082,16 @@ impl Runtime {
     }
 
     /// The tail of the spawn protocol, shared by the single and batched
-    /// paths: criticality, poison handling, body instrumentation, edge
-    /// wiring and the submission-guard drop. The caller has already made
-    /// the task outstanding, filled its slot, run dependency discovery
-    /// and published the spawn counters; `poison` says whether the job's
-    /// poison flag was observed set (after the caller's fence). Returns
-    /// the task when it is ready to dispatch — no live predecessor
-    /// registered, or every wired predecessor settled before the guard
-    /// dropped — and the caller pushes it (batched callers push the
-    /// whole batch under a single wake).
+    /// paths: criticality, poison handling, the slot's remaining state,
+    /// edge wiring and the submission-guard drop. The caller has already
+    /// made the task outstanding, run dependency discovery (filling the
+    /// slot first, for a task that declares accesses) and published the
+    /// spawn counters; `poison` says whether the job's poison flag was
+    /// observed set (after the caller's fence). Returns the task when it
+    /// is ready to dispatch — no predecessor found, or every wired
+    /// predecessor settled before the guard dropped — and the caller
+    /// pushes it (batched callers push the whole batch under a single
+    /// wake).
     #[allow(clippy::too_many_arguments)]
     fn wire_spawn(
         &self,
@@ -2172,7 +2100,6 @@ impl Runtime {
         body: ExecBody,
         exempt: bool,
         me: TaskRef,
-        deadline_ns: u64,
         preds: Vec<TaskRef>,
         poison: bool,
     ) -> Option<ReadyTask> {
@@ -2194,13 +2121,6 @@ impl Runtime {
                 Criticality::Auto => shared.submit_criticality(&me, meta.cost.max(1), &preds),
             }
         };
-        let home;
-        {
-            let mut st = slot.state.lock();
-            st.critical = critical;
-            home = st.home;
-            st.preds.extend(preds.iter().map(|p| (p.slot, p.gen)));
-        }
         if let Some(rec) = &shared.recorded {
             rec.lock()
                 .push((meta.clone(), preds.iter().map(|p| p.tid).collect()));
@@ -2209,9 +2129,10 @@ impl Runtime {
         // fault domain) is doomed at spawn; a clean task that fully
         // overwrites a poisoned range (`out` access: no read of the old
         // contents) cleanses it.
+        let mut poisoned_by = None;
         if poison {
             let mut poisoned = job.poisoned.lock();
-            let hit = meta
+            poisoned_by = meta
                 .accesses
                 .iter()
                 .filter(|a| a.mode.reads())
@@ -2221,62 +2142,50 @@ impl Runtime {
                         .find(|p| p.region.overlaps(&a.region))
                         .map(|p| (p.source, p.source_label.clone()))
                 });
-            match hit {
-                Some(pb) => {
-                    drop(poisoned);
-                    slot.state.lock().poisoned_by = Some(pb);
-                }
-                None => {
-                    for a in &meta.accesses {
-                        if a.mode == AccessMode::Write {
-                            cleanse(&mut poisoned, &a.region);
-                        }
+            if poisoned_by.is_none() {
+                for a in &meta.accesses {
+                    if a.mode == AccessMode::Write {
+                        cleanse(&mut poisoned, &a.region);
                     }
                 }
             }
         }
-        let body = instrument(
-            body,
-            tid,
-            slot_idx,
-            gen,
-            critical,
-            exempt,
-            shared.capture.is_some(),
-            Arc::downgrade(&self.shared),
-            Arc::clone(&job.session),
-            job.fault_plan.clone(),
-            if exempt {
-                None
+        // Submitted jobs' tasks stamp their admission for the
+        // first-dispatch probe; the single-tenant hot path pays nothing
+        // for the serving layer.
+        let admitted_at = (!exempt && !job.is_default()).then(Instant::now);
+        // The one spawn-side lock of a task nothing precedes: it leaves
+        // with its body and never parks it in the slot. Anything else
+        // parks the body *before* its edges become visible — the
+        // submission guard from `alloc` keeps `pending` above zero until
+        // the wiring below is done, so nobody can take it early.
+        let mut ready = None;
+        {
+            let mut st = slot.state.lock();
+            if !meta.tracked() {
+                self.fill_slot(&mut st, job, &meta, exempt, me);
+            }
+            st.critical = critical;
+            st.label = meta.label;
+            st.preds.extend(preds.iter().map(|p| (p.slot, p.gen)));
+            if poisoned_by.is_some() {
+                st.poisoned_by = poisoned_by;
+            }
+            st.admitted_at = admitted_at;
+            if !exempt && self.config.soft_timeout.is_some() {
+                // An idempotent body leaves a duplicate behind for
+                // straggler hedging.
+                st.hedge_body = body.duplicate();
+            }
+            if preds.is_empty() {
+                ready = Some(st.ready(slot_idx, gen, body));
             } else {
-                shared.telemetry.clone()
-            },
-            if exempt { None } else { job.telemetry.clone() },
-        );
-        // Job-layer spawns sample their admission→first-dispatch delay
-        // into the adaptive shed controller and the job's own metrics.
-        // Default-job spawns skip the probe: the single-tenant hot path
-        // pays nothing for the serving layer.
-        let body = if !exempt && !job.is_default() {
-            with_dispatch_probe(body, Arc::clone(job), Arc::downgrade(&self.shared))
-        } else {
-            body
-        };
-        // Park a duplicate of the fully wrapped body for straggler
-        // hedging. Only retryable (idempotent) bodies can duplicate;
-        // the probe's one-shot guard is shared with the duplicate, so a
-        // hedged re-dispatch never records a second sample.
-        if self.config.soft_timeout.is_some() && !exempt {
-            if let Some(dup) = body.duplicate() {
-                slot.state.lock().hedge_body = Some(dup);
+                st.body = Some(body);
             }
         }
-        // Wire edges. Our own `pending` holds the submission guard from
-        // `alloc`, so a predecessor completing mid-wire can bring it down
-        // to the guard but never to zero — which is also why each edge
-        // must be counted *before* it becomes visible in the
-        // predecessor's successor list: the predecessor may settle and
-        // decrement the instant the lock drops.
+        // Wire edges. Each edge must be counted *before* it becomes
+        // visible in the predecessor's successor list: the predecessor
+        // may settle and decrement the instant the lock drops.
         let mut live_preds = 0u32;
         for p in &preds {
             let pslot = shared.slab.slot(p.slot);
@@ -2308,47 +2217,25 @@ impl Runtime {
             );
         }
         if live_preds == 0 {
-            // No live predecessor registered: nobody else can release us,
-            // so the body never needs to be parked in the slot.
             shared.stats.ready_at_spawn.add(1);
-            return Some(ReadyTask {
-                id: tid,
-                slot: slot_idx,
-                gen,
-                priority: meta.priority,
-                critical,
-                deadline_ns,
-                home,
-                seq: 0,
-                body,
-            });
         }
-        slot.state.lock().body = Some(body);
-        // Drop the submission guard; if every wired predecessor beat
-        // us to completion, the release falls to us.
-        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let body = slot
-                .state
-                .lock()
+        // Drop the submission guard; with no live predecessor left —
+        // none registered, or every one beat us to completion — the
+        // release falls to us.
+        if ready.is_none() && slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut st = slot.state.lock();
+            let body = st
                 .body
                 .take()
                 .expect("spawn-released task must still hold its body");
-            if let Some(t) = &shared.tracer {
-                t.emit(TraceEventKind::Ready, tid, slot_idx, gen, 0);
+            if live_preds > 0 {
+                if let Some(t) = &shared.tracer {
+                    t.emit(TraceEventKind::Ready, tid, slot_idx, gen, 0);
+                }
             }
-            return Some(ReadyTask {
-                id: tid,
-                slot: slot_idx,
-                gen,
-                priority: meta.priority,
-                critical,
-                deadline_ns,
-                home,
-                seq: 0,
-                body,
-            });
+            ready = Some(st.ready(slot_idx, gen, body));
         }
-        None
+        ready
     }
 
     /// OmpSs `taskwait on(...)`: block until every task spawned so far
@@ -2366,8 +2253,7 @@ impl Runtime {
     /// [`Runtime::try_taskwait`] or [`Runtime::poisoned_regions`] to
     /// learn about the failure.
     pub fn taskwait_on_region(&self, region: Region) {
-        let job = Arc::clone(&self.shared.default_job);
-        self.taskwait_on_region_for(&job, region);
+        self.taskwait_on_region_for(&self.shared.default_job, region);
     }
 
     /// `taskwait on(region)` scoped to one job's dependency namespace:
@@ -2380,7 +2266,7 @@ impl Runtime {
         }
         let done = Arc::new((Mutex::new(false), Condvar::new()));
         let signal = Arc::clone(&done);
-        let mut meta = TaskMeta::new("taskwait-on");
+        let mut meta = TaskMeta::labelled("taskwait-on");
         meta.accesses.push(Access {
             region,
             mode: AccessMode::ReadWrite,
@@ -3052,9 +2938,9 @@ pub struct BatchTask {
 
 impl BatchTask {
     /// Begin describing a batch entry.
-    pub fn new(label: impl Into<String>) -> Self {
+    pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
         BatchTask {
-            meta: TaskMeta::new(label),
+            meta: TaskMeta::labelled(label),
             body: None,
         }
     }
@@ -3155,11 +3041,11 @@ impl<'rt> JobHandle<'rt> {
     }
 
     /// Begin building a task inside this job.
-    pub fn task(&self, label: impl Into<String>) -> TaskBuilder<'_> {
+    pub fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self.rt,
             job: &self.job,
-            meta: TaskMeta::new(label),
+            meta: TaskMeta::labelled(label),
             body: None,
         }
     }
@@ -3284,7 +3170,7 @@ impl Drop for JobHandle<'_> {
 /// written against `TaskScope` runs unchanged in either mode.
 pub trait TaskScope {
     /// Begin building a task in this scope.
-    fn task(&self, label: impl Into<String>) -> TaskBuilder<'_>;
+    fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_>;
     /// Submit a whole batch of tasks into this scope in one pass.
     fn spawn_many(&self, tasks: Vec<BatchTask>) -> Vec<TaskId>;
     /// Block until the chain on `region` in this scope completes.
@@ -3308,7 +3194,7 @@ pub trait TaskScope {
 }
 
 impl TaskScope for Runtime {
-    fn task(&self, label: impl Into<String>) -> TaskBuilder<'_> {
+    fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_> {
         Runtime::task(self, label)
     }
     fn spawn_many(&self, tasks: Vec<BatchTask>) -> Vec<TaskId> {
@@ -3329,7 +3215,7 @@ impl TaskScope for Runtime {
 }
 
 impl TaskScope for JobHandle<'_> {
-    fn task(&self, label: impl Into<String>) -> TaskBuilder<'_> {
+    fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_> {
         JobHandle::task(self, label)
     }
     fn spawn_many(&self, tasks: Vec<BatchTask>) -> Vec<TaskId> {

@@ -133,8 +133,10 @@ impl QosClass {
     }
 }
 
-/// A task that is ready to run, together with everything the scheduler
-/// needs to order it.
+/// A task that is ready to run: the body, everything the scheduler
+/// needs to order it, and the two bits that tell the pool client's run
+/// hook whether it has to look at the task's slot at all. Label, job,
+/// accesses and edges stay behind in the slot.
 pub struct ReadyTask {
     pub id: TaskId,
     /// Slab slot of the task's runtime bookkeeping (see
@@ -155,6 +157,13 @@ pub struct ReadyTask {
     /// is flat). External pushes land on this cluster's injector, so a
     /// task starts next to the tile that owns its data.
     pub home: u32,
+    /// Dispatch reads the slot first: it holds a submitted job's handle
+    /// (default-job tasks resolve their job without touching the slot),
+    /// or this is a hedged duplicate whose task may have settled.
+    pub probe: bool,
+    /// A `taskwait on` sentinel: no preflight, fault injection or body
+    /// timing applies to it.
+    pub exempt: bool,
     pub seq: u64,
     pub body: ExecBody,
 }
@@ -767,6 +776,8 @@ mod tests {
             critical,
             deadline_ns: NO_DEADLINE,
             home: NO_HOME,
+            probe: false,
+            exempt: false,
             seq: 0,
             body: ExecBody::once(|| {}),
         }

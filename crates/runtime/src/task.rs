@@ -1,5 +1,6 @@
 //! Task identity, metadata, and the in-flight task slab.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -7,6 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::region::{Access, Region};
+use crate::scheduler::ReadyTask;
 
 /// Dense task identifier, assigned in spawn order.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,8 +45,9 @@ pub enum Criticality {
 /// Static metadata carried by every task.
 #[derive(Clone, Debug)]
 pub struct TaskMeta {
-    /// Human-readable label (`"spmv[3]"`, `"fft-pass"`, ...).
-    pub label: String,
+    /// Human-readable label (`"spmv[3]"`, `"fft-pass"`, ...). A literal
+    /// costs no allocation from builder to slot to failure report.
+    pub label: Cow<'static, str>,
     /// Declared region accesses, in declaration order.
     pub accesses: Vec<Access>,
     /// Cost hint in abstract work units (cycles at nominal frequency).
@@ -62,6 +65,12 @@ pub struct TaskMeta {
 
 impl TaskMeta {
     pub fn new(label: impl Into<String>) -> Self {
+        Self::labelled(label.into())
+    }
+
+    /// Like [`TaskMeta::new`] without the copy: a `&'static str` is
+    /// borrowed, an owned `String` is moved.
+    pub(crate) fn labelled(label: impl Into<Cow<'static, str>>) -> Self {
         TaskMeta {
             label: label.into(),
             accesses: Vec::new(),
@@ -70,6 +79,14 @@ impl TaskMeta {
             priority: 0,
             idempotent: false,
         }
+    }
+
+    /// The task declares accesses: it goes through the dependency
+    /// tracker, so its slot is filled *before* the tracker publishes it
+    /// (`Runtime::fill_slot`); any other task's slot is filled under
+    /// `wire_spawn`'s lock. Every site that decides who fills asks here.
+    pub(crate) fn tracked(&self) -> bool {
+        !self.accesses.is_empty()
     }
 
     /// True when any declared access writes.
@@ -145,7 +162,7 @@ impl fmt::Debug for ExecBody {
 // `Mutex<HashMap>`: spawn allocates a slot, completion frees it for
 // reuse, and all cross-task traffic goes through per-slot state — two
 // concurrent spawns or completions on unrelated tasks never touch the
-// same lock. Reused slots keep their `Vec`/`String` capacities, killing
+// same lock. Reused slots keep their `Vec` capacities, killing
 // per-spawn heap churn.
 //
 // Slot recycling is *owner-local*: every thread that allocates claims
@@ -192,7 +209,9 @@ pub struct SlotState {
     pub completed: bool,
     /// Execution attempts that have failed so far.
     pub attempts: u32,
-    pub label: String,
+    /// Moved in from the task's [`TaskMeta`]; an owned label is dropped
+    /// when the slot retires, a literal never touches the allocator.
+    pub label: Cow<'static, str>,
     pub body: Option<ExecBody>,
     /// Slot indices of successors to release on completion.
     pub succs: Vec<u32>,
@@ -203,9 +222,14 @@ pub struct SlotState {
     pub writes: Vec<Region>,
     /// Set when an upstream failure poisoned a region this task reads.
     pub poisoned_by: Option<(TaskId, String)>,
-    /// Fault domain this task belongs to; `None` only for exempt
-    /// (sentinel) tasks, which carry no job accounting.
+    /// The submitted job this task belongs to. `None` means the
+    /// runtime's default job: its tasks resolve it from the runtime and
+    /// never touch its reference count.
     pub(crate) job: Option<Arc<crate::job::JobState>>,
+    /// When a submitted job's task was admitted; taken by its first
+    /// dispatch, which samples the admission→dispatch delay — retries
+    /// and hedged duplicates find `None` and record nothing.
+    pub(crate) admitted_at: Option<std::time::Instant>,
     /// Set by the preflight when the task was skipped because its job
     /// was cancelled.
     pub cancelled: bool,
@@ -222,14 +246,32 @@ pub struct SlotState {
     /// A hedged duplicate has already been dispatched for this attempt;
     /// at most one hedge per task, ever.
     pub hedged: bool,
-    /// Duplicate handle to the instrumented body, kept only for
-    /// idempotent tasks when hedging is enabled — the watchdog clones it
-    /// to race a straggling attempt.
+    /// Duplicate handle to the body, kept only for idempotent tasks when
+    /// hedging is enabled — the watchdog clones it to race a straggling
+    /// attempt.
     pub(crate) hedge_body: Option<ExecBody>,
 }
 
 impl SlotState {
-    /// Reset for reuse, keeping allocations.
+    /// The dispatchable view of this slot's task: the scheduling keys
+    /// travel with `body`, everything else stays behind in the slot.
+    pub(crate) fn ready(&self, slot: u32, gen: u64, body: ExecBody) -> ReadyTask {
+        ReadyTask {
+            id: self.tid,
+            slot,
+            gen,
+            priority: self.priority,
+            critical: self.critical,
+            deadline_ns: self.deadline_ns,
+            home: self.home,
+            probe: self.job.is_some(),
+            exempt: self.exempt,
+            seq: 0,
+            body,
+        }
+    }
+
+    /// Reset for reuse, keeping the `Vec` allocations.
     fn clear(&mut self) {
         self.tid = TaskId(0);
         self.cost = 0;
@@ -239,7 +281,7 @@ impl SlotState {
         self.exempt = false;
         self.completed = false;
         self.attempts = 0;
-        self.label.clear();
+        self.label = Cow::Borrowed("");
         self.body = None;
         self.succs.clear();
         self.preds.clear();
@@ -247,6 +289,7 @@ impl SlotState {
         self.writes.clear();
         self.poisoned_by = None;
         self.job = None;
+        self.admitted_at = None;
         self.cancelled = false;
         self.deadline_ns = crate::scheduler::NO_DEADLINE;
         self.home = crate::scheduler::NO_HOME;
@@ -273,6 +316,16 @@ pub struct TaskSlot {
 }
 
 impl TaskSlot {
+    /// Lock the state if the slot still holds the unsettled task that
+    /// was live at generation `gen`; `None` once that task settled (a
+    /// hedged twin got there first), whether or not the slot has been
+    /// reused since. The generation moves under this lock (see
+    /// [`TaskSlab::retire`]), so the answer is exact.
+    pub fn lock_live(&self, gen: u64) -> Option<parking_lot::MutexGuard<'_, SlotState>> {
+        let st = self.state.lock();
+        (self.gen.load(Ordering::Acquire) == gen && !st.completed).then_some(st)
+    }
+
     fn new() -> Self {
         TaskSlot {
             gen: AtomicU64::new(0),
@@ -476,26 +529,26 @@ impl TaskSlab {
         }
     }
 
-    /// Free a completed task's slot for reuse. The caller must be the
-    /// sole settler of the task.
-    ///
-    /// The generation goes stale *before* the state is cleared: anyone
-    /// still holding a `(slot, gen)` pair either sees the bumped
-    /// generation (and backs off) or locked the state before the clear —
-    /// in which case `completed` is still set and tells them the same
-    /// thing. Clearing first would open a window where the old
-    /// generation still matches a blank state.
-    ///
-    /// The slot returns to the free list of the owner of its *page*: a
-    /// free on the owning thread is a push onto a list nobody else
-    /// touches; a free anywhere else is one CAS onto the owner's
-    /// sideband.
-    pub fn free(&self, idx: u32) {
+    /// Retire a settled task's slot under the caller's lock on its state
+    /// (the caller must be the sole settler of the task): bump the
+    /// generation to even and reset the state, in that order and inside
+    /// one critical section — anyone holding a stale `(slot, gen)` pair
+    /// who locks the state afterwards sees the moved-on generation.
+    /// Follow with [`TaskSlab::recycle`] once the lock is released.
+    pub fn retire(&self, idx: u32, st: &mut SlotState) {
         let slot = self.slot(idx);
         let gen = slot.gen.fetch_add(1, Ordering::AcqRel) + 1;
-        debug_assert!(gen.is_multiple_of(2), "free must release a live slot");
-        slot.state.lock().clear();
+        debug_assert!(gen.is_multiple_of(2), "retire must release a live slot");
+        st.clear();
         slot.bl.store(0, Ordering::Relaxed);
+    }
+
+    /// Return a retired slot to the free list of the owner of its
+    /// *page*: on the owning thread that is a push onto a list nobody
+    /// else touches; anywhere else it is one CAS onto the owner's
+    /// sideband.
+    pub fn recycle(&self, idx: u32) {
+        let slot = self.slot(idx);
         let owner = self.page_owner[idx as usize / PAGE_SIZE].load(Ordering::Acquire) as usize;
         let me = Self::ctx_id();
         if owner == me {
@@ -519,6 +572,14 @@ impl TaskSlab {
             }
             self.ctxs[me].remote_frees.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// [`TaskSlab::retire`] + [`TaskSlab::recycle`] for a slot whose
+    /// state the caller does not hold locked.
+    #[cfg(test)]
+    fn free(&self, idx: u32) {
+        self.retire(idx, &mut self.slot(idx).state.lock());
+        self.recycle(idx);
     }
 
     /// `(local_frees, remote_frees)` across every owner context — the
@@ -685,7 +746,7 @@ mod tests {
         let (idx, _) = slab.alloc();
         {
             let mut s = slab.slot(idx).state.lock();
-            s.label.push_str("some-label");
+            s.label = "some-label".to_string().into();
             s.succs.extend([1, 2, 3]);
         }
         slab.free(idx);
@@ -694,5 +755,52 @@ mod tests {
         let s = slab.slot(again).state.lock();
         assert!(s.label.is_empty() && s.succs.is_empty());
         assert!(s.succs.capacity() >= 3, "reuse keeps the allocation");
+        drop(s);
+
+        // The same through a real spawn → settle → respawn cycle: what
+        // the runtime's settle leaves in a retired slot is what the
+        // slot's next task inherits. A writer and its reader are spawned
+        // from a task body on the only worker, so the writer is still
+        // pending when the reader wires its edge, and both slots are
+        // freed on the thread that allocates them (LIFO reuse).
+        let rt = Arc::new(crate::Runtime::new(crate::RuntimeConfig::with_workers(1)));
+        let x = rt.register("x", 0u64);
+        let cycle = || {
+            let (inner, x) = (Arc::clone(&rt), x.clone());
+            rt.task("outer")
+                .body(move || {
+                    inner.task("w".to_string()).writes(&x).body(|| {}).spawn();
+                    inner.task("r").reads(&x).body(|| {}).spawn();
+                })
+                .spawn();
+            rt.taskwait();
+        };
+        // `(generation, succs capacity, writes capacity)` of every slot
+        // used so far; all of them are free (even generation) by now.
+        let retired = || -> Vec<(u64, usize, usize)> {
+            let slab = rt.slab();
+            (0..slab.high_water.load(Ordering::Acquire))
+                .map(|i| {
+                    let st = slab.slot(i).state.lock();
+                    let gen = slab.slot(i).gen.load(Ordering::Acquire);
+                    assert!(st.label.is_empty() && st.succs.is_empty() && st.writes.is_empty());
+                    (gen, st.succs.capacity(), st.writes.capacity())
+                })
+                .filter(|&(gen, ..)| gen > 0)
+                .collect()
+        };
+        cycle();
+        let kept = |slots: &[(u64, usize, usize)]| slots.iter().any(|&(_, s, w)| s >= 1 && w >= 1);
+        assert!(
+            kept(&retired()),
+            "the settled writer's slot keeps its successor and write-region buffers"
+        );
+        cycle();
+        let after = retired();
+        assert!(
+            after.iter().filter(|&&(gen, ..)| gen >= 4).count() >= 2,
+            "the second cycle reused the first one's slots: {after:?}"
+        );
+        assert!(kept(&after), "and the buffers are still there");
     }
 }

@@ -1,0 +1,117 @@
+//! Heap-allocation budget of the task envelope: what one access-free,
+//! literal-labelled task costs the allocator from `spawn` to settled.
+//!
+//! The only allocation such a task needs is the box around its body.
+//! Everything else — label, slot state, the run path's instrumentation —
+//! is borrowed, moved or reused, and this test keeps it that way: a
+//! per-task wrapper closure or a label copy shows up here as one more
+//! allocation per task.
+//!
+//! One `#[test]` only: the counting allocator is process-wide, so a
+//! second test running in parallel would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use raa_runtime::{BatchTask, JobSpec, Runtime, RuntimeConfig};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers every call to `System` unchanged; the counter is a
+// relaxed atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const TASKS: u64 = 10_000;
+
+/// Allocations (on any thread) per task while `spawn_all` spawns
+/// `TASKS` tasks and the runtime settles them.
+fn allocs_per_task(rt: &Runtime, spawn_all: impl Fn(&'static AtomicU64)) -> f64 {
+    // Each body captures one pointer, so its box is a real allocation
+    // (a capture-free closure is zero-sized and boxes for free).
+    let hits: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
+    // Warm-up: slab pages, queue segments and per-batch vectors reach
+    // their steady-state sizes before anything is counted.
+    spawn_all(hits);
+    rt.taskwait();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    spawn_all(hits);
+    rt.taskwait();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(hits.load(Ordering::Relaxed), 2 * TASKS, "every body ran");
+    allocs as f64 / TASKS as f64
+}
+
+#[test]
+fn an_empty_task_allocates_its_body_box_and_little_else() {
+    let rt = Runtime::new(RuntimeConfig::with_workers(1));
+
+    let single = allocs_per_task(&rt, |hits| {
+        for _ in 0..TASKS {
+            rt.task("e")
+                .body(move || {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                })
+                .spawn();
+        }
+    });
+    assert!(
+        single <= 2.0,
+        "task().spawn(): {single:.2} allocations per task, budget 2"
+    );
+
+    let batched = allocs_per_task(&rt, |hits| {
+        for _ in 0..TASKS / 1000 {
+            let batch = (0..1000)
+                .map(|_| {
+                    BatchTask::new("e").body(move || {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            rt.spawn_many(batch);
+        }
+    });
+    assert!(
+        batched <= 2.0,
+        "spawn_many: {batched:.2} allocations per task, budget 2"
+    );
+
+    // A submitted job's task: 5 per task before the envelope went lean
+    // (label, slot label copy, body box, instrumentation box, dispatch
+    // probe box). The job layer must never cost more than that again.
+    let job = rt.submit(JobSpec::new("tenant")).expect("admitted");
+    let tenant = allocs_per_task(&rt, |hits| {
+        for _ in 0..TASKS {
+            job.task("e")
+                .body(move || {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                })
+                .spawn();
+        }
+    });
+    assert!(
+        tenant <= 5.0,
+        "JobHandle::task().spawn(): {tenant:.2} allocations per task, 5 before"
+    );
+    eprintln!("allocations per task: single {single:.3}, batched {batched:.3}, tenant {tenant:.3}");
+}

@@ -345,6 +345,12 @@ fn drain_survives_an_active_fault_plan_killing_workers() {
                 *h.write() += 1;
             })
             .spawn();
+        // The chain alone can run start to end on whichever worker
+        // popped its head; an independent task beside each link keeps
+        // the plan's victims executing too.
+        job.task(format!("free{i}"))
+            .body(|| std::thread::sleep(Duration::from_micros(500)))
+            .spawn();
     }
     let start = Instant::now();
     let report = rt.drain(Duration::from_secs(20));

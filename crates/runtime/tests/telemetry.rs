@@ -253,6 +253,13 @@ fn worker_kill_dumps_a_flight_bundle_deterministically() {
         let stats = rt.stats();
         assert_eq!(stats.worker_deaths, 1, "run {run}: plan fired once");
 
+        // Wait for the sampler's first idle tick: an anomaly dump it
+        // raises over the burst is then pending before the first take,
+        // not between the two.
+        let _ = rt.telemetry_deltas();
+        while !rt.telemetry_deltas().iter().any(|d| d.completed == 0) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let bundles = rt.take_flight_bundles();
         let death = bundles
             .iter()
