@@ -69,10 +69,11 @@ impl<O: Copy + PartialEq> RegionState<O> {
     /// Scoreboard update for one access: collect RAW/WAR/WAW edges into
     /// `preds` and record `owner` as writer or reader.
     fn apply(&mut self, owner: O, access: &Access, preds: &mut Vec<O>) {
-        self.split_at(access.region.range.start);
-        self.split_at(access.region.range.end);
-        let idxs = self.overlapping(access.region.range);
-        for seg in &mut self.segments[idxs] {
+        // The overlapped segments are those between the two cuts (the
+        // second lands at or after the first, so `lo` stays put).
+        let lo = self.split_at(access.region.range.start);
+        let hi = self.split_at(access.region.range.end);
+        for seg in &mut self.segments[lo..hi] {
             debug_assert!(access.region.range.contains(&seg.range));
             if access.mode.writes() {
                 if let Some(w) = seg.last_writer {
@@ -90,54 +91,45 @@ impl<O: Copy + PartialEq> RegionState<O> {
                 }
             }
         }
-        self.coalesce();
+        self.coalesce(lo..hi);
     }
 
-    /// Split segments so that `at` is a segment boundary.
-    fn split_at(&mut self, at: u64) {
-        if at == 0 || at == u64::MAX {
-            return;
-        }
+    /// Split segments so that `at` is a segment boundary; returns the
+    /// index of the segment starting there (the length for `u64::MAX`).
+    fn split_at(&mut self, at: u64) -> usize {
         // First segment whose end lies beyond `at`; since the segments
-        // jointly cover [0, u64::MAX), it exists and contains `at` unless
-        // `at` is already one of its boundaries.
+        // jointly cover [0, u64::MAX), it contains `at` unless `at` is
+        // already one of its boundaries (or the end of the line).
         let idx = self.segments.partition_point(|s| s.range.end <= at);
-        let seg = &self.segments[idx];
-        if seg.range.start >= at {
-            return;
+        if idx == self.segments.len() || self.segments[idx].range.start >= at {
+            return idx;
         }
+        let seg = &self.segments[idx];
         let mut right = seg.clone();
         right.range = RegionRange::new(at, seg.range.end);
         self.segments[idx].range = RegionRange::new(seg.range.start, at);
         self.segments.insert(idx + 1, right);
+        idx + 1
     }
 
-    /// Indices of segments overlapping `range` (after splitting, these are
-    /// exactly the segments fully contained in `range`).
-    fn overlapping(&self, range: RegionRange) -> std::ops::Range<usize> {
-        let lo = self
-            .segments
-            .partition_point(|s| s.range.end <= range.start);
-        let hi = self.segments.partition_point(|s| s.range.start < range.end);
-        lo..hi
-    }
-
-    /// Merge adjacent segments with identical state to bound growth.
-    fn coalesce(&mut self) {
-        let mut out: Vec<Segment<O>> = Vec::with_capacity(self.segments.len());
-        for seg in self.segments.drain(..) {
-            match out.last_mut() {
-                Some(prev)
-                    if prev.range.end == seg.range.start
-                        && prev.last_writer == seg.last_writer
-                        && prev.readers == seg.readers =>
-                {
-                    prev.range = RegionRange::new(prev.range.start, seg.range.end);
-                }
-                _ => out.push(seg),
+    /// Merge adjacent segments with identical state to bound growth, in
+    /// place. Only the boundaries of the segments an access updated
+    /// (`touched`, split ends included) can have become mergeable.
+    fn coalesce(&mut self, touched: std::ops::Range<usize>) {
+        let start = touched.start.saturating_sub(1);
+        let end = (touched.end + 1).min(self.segments.len());
+        let mut kept = start;
+        for next in start + 1..end {
+            let (head, tail) = self.segments.split_at_mut(next);
+            let (prev, seg) = (&mut head[kept], &mut tail[0]);
+            if prev.last_writer == seg.last_writer && prev.readers == seg.readers {
+                prev.range = RegionRange::new(prev.range.start, seg.range.end);
+            } else {
+                kept += 1;
+                self.segments.swap(kept, next);
             }
         }
-        self.segments = out;
+        self.segments.drain(kept + 1..end);
     }
 }
 
@@ -695,6 +687,49 @@ mod tests {
                 want.dedup();
                 want.retain(|&p| p != TaskId(tid));
                 assert_eq!(got, want, "tid={tid} [{start},{end}) {mode:?}");
+            }
+        }
+    }
+
+    /// The merge looks only at the boundaries an access touched; the
+    /// whole list must still come out as a full rebuild would leave it.
+    #[test]
+    fn segment_list_stays_canonical_after_every_apply() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5E6);
+        for _ in 0..50 {
+            let mut state: RegionState<TaskId> = RegionState::new();
+            for step in 0..200u32 {
+                let start = rng.gen_range(0..64u64);
+                let end = match rng.gen_range(0..8) {
+                    0 => u64::MAX,
+                    _ => rng.gen_range(start + 1..=64u64),
+                };
+                let mode = match rng.gen_range(0..3) {
+                    0 => AccessMode::Read,
+                    1 => AccessMode::Write,
+                    _ => AccessMode::ReadWrite,
+                };
+                // Few owners, so readers repeat and equal states recur.
+                let owner = TaskId(rng.gen_range(0..4));
+                state.apply(owner, &acc(7, start, end, mode), &mut Vec::new());
+                let segs = &state.segments;
+                assert_eq!(segs[0].range.start, 0, "step {step}");
+                assert_eq!(segs[segs.len() - 1].range.end, u64::MAX, "step {step}");
+                for s in segs {
+                    assert!(s.range.start < s.range.end, "step {step}: {segs:?}");
+                }
+                for pair in segs.windows(2) {
+                    assert_eq!(
+                        pair[0].range.end, pair[1].range.start,
+                        "step {step}: sorted, disjoint, gap-free: {segs:?}"
+                    );
+                    assert!(
+                        pair[0].last_writer != pair[1].last_writer
+                            || pair[0].readers != pair[1].readers,
+                        "step {step}: adjacent segments with equal state: {segs:?}"
+                    );
+                }
             }
         }
     }

@@ -377,6 +377,10 @@ pub(crate) struct JobState {
     /// Per-tenant histograms, allocated only when the runtime's
     /// telemetry plane is on.
     pub(crate) telemetry: Option<Arc<crate::telemetry::JobTelemetry>>,
+    /// Online criticality: the longest bottom level seen in this job's
+    /// TDG (its own, as its dependency namespace is). The default job's
+    /// restarts whenever `try_taskwait` finds the runtime quiescent.
+    pub(crate) max_bl: AtomicU64,
 }
 
 impl JobState {
@@ -423,6 +427,14 @@ impl JobState {
             created_at: Instant::now(),
             e2e_recorded: AtomicBool::new(false),
             telemetry,
+            max_bl: AtomicU64::new(0),
+        }
+    }
+
+    /// Raise `max_bl` to `bl`; spawners that raise nothing only read it.
+    pub(crate) fn raise_max_bl(&self, bl: u64) {
+        if bl > self.max_bl.load(Ordering::Relaxed) {
+            self.max_bl.fetch_max(bl, Ordering::Relaxed);
         }
     }
 

@@ -58,21 +58,15 @@ use crate::scheduler::{QosClass, ReadyQueues, ReadyTask, SchedulerPolicy};
 use crate::stats::{
     ContentionReport, RuntimeStats, StatsSnapshot, StripedGauge, RETRY_HIST_BUCKETS,
 };
-use crate::task::{Criticality, ExecBody, TaskBody, TaskId, TaskMeta, TaskRef, TaskSlab};
+use crate::task::{
+    Criticality, ExecBody, SlotState, TaskBody, TaskId, TaskMeta, TaskRef, TaskSlab,
+};
 use crate::telemetry::{
     detect, SamplerShared, TelemetryDelta, TelemetrySnapshot, TenantTelemetry, TriggerRules,
     SAMPLE_INTERVAL,
 };
 use crate::topology::{Topology, NO_HOME};
 use crate::trace::{Trace, TraceConfig, TraceEventKind, TraceSession, Tracer};
-
-/// Node budget for the backward bottom-level relaxation at spawn. The
-/// offline [`crate::criticality::OnlineCriticality`] estimator relaxes
-/// ancestors without bound, which is O(depth) per spawn — quadratic on a
-/// chain. The hot path caps the walk instead: deep ancestry beyond the
-/// budget keeps a stale (under-estimated) bottom level, which can only
-/// misclassify criticality, never correctness.
-const RELAX_BUDGET: u32 = 64;
 
 /// Observation hooks around task execution — the attachment point for
 /// runtime-aware hardware models (e.g. the RSU in `raa-core`): the
@@ -209,8 +203,11 @@ pub struct RuntimeConfig {
     /// [`crate::program::emit`]. Retrieve with [`Runtime::program`].
     /// Off by default.
     pub record_program: bool,
-    /// Threshold for the online criticality estimator (fraction of the
-    /// longest path; see [`crate::criticality::OnlineCriticality`]).
+    /// An `Auto` task is critical when its bottom level reaches this
+    /// fraction of the longest one seen in its job (the rule of
+    /// [`crate::criticality::OnlineCriticality`]), decided once, when
+    /// the task becomes ready. Levels are exact within a `spawn_many`
+    /// batch, one hop deep across batches and for single spawns.
     pub criticality_threshold: f64,
     /// Optional execution observer (see [`TaskObserver`]).
     pub observer: Option<Arc<dyn TaskObserver>>,
@@ -557,11 +554,9 @@ struct Shared {
     /// Measured durations + reference streams when
     /// [`RuntimeConfig::record_program`] is on.
     capture: Option<ProgramCapture>,
-    /// Online criticality: longest observed bottom level, and the
-    /// threshold as a num/den ratio (per-slot levels live in the slab).
-    max_bl: AtomicU64,
-    crit_num: u64,
-    crit_den: u64,
+    /// Online criticality threshold in thousandths (bottom levels live
+    /// in the slab, the longest one seen in each job's state).
+    crit_permille: u64,
     /// Event tracer, when [`RuntimeConfig::trace`] is set.
     tracer: Option<Arc<Tracer>>,
     /// Adaptive overload controller, when
@@ -684,35 +679,23 @@ impl Shared {
         job.has_poison.store(false, Ordering::SeqCst);
     }
 
-    /// Seed the new task's bottom level and relax ancestors (bounded),
-    /// then classify: critical iff its level is within the configured
-    /// fraction of the longest level seen so far.
-    fn submit_criticality(&self, me: &TaskRef, cost: u64, preds: &[TaskRef]) -> bool {
-        let slot = self.slab.slot(me.slot);
-        slot.bl.store(cost, Ordering::Relaxed);
-        let mut max_bl = self.max_bl.fetch_max(cost, Ordering::Relaxed).max(cost);
-        let mut stack: Vec<(u32, u64, u64)> = preds.iter().map(|p| (p.slot, p.gen, cost)).collect();
-        let mut budget = RELAX_BUDGET;
-        while let Some((s, gen, child_bl)) = stack.pop() {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
-            let pslot = self.slab.slot(s);
-            let st = pslot.state.lock();
-            if pslot.gen.load(Ordering::Acquire) != gen || st.completed {
-                continue;
-            }
-            let new_bl = st.cost.saturating_add(child_bl);
-            let old = pslot.bl.fetch_max(new_bl, Ordering::Relaxed);
-            if new_bl > old {
-                max_bl = self.max_bl.fetch_max(new_bl, Ordering::Relaxed).max(new_bl);
-                for &(ps, pg) in &st.preds {
-                    stack.push((ps, pg, new_bl));
-                }
-            }
+    /// A task just became ready: decide an `Auto` task's criticality by
+    /// [`crate::criticality::OnlineCriticality::is_critical`]'s rule
+    /// (every successor wired so far has raised its bottom level; later
+    /// ones come too late to steer the scheduler), then hand it out.
+    fn release(&self, st: &mut SlotState, slot: u32, gen: u64, body: ExecBody) -> ReadyTask {
+        if st.criticality == Criticality::Auto {
+            let max_bl = self.job_of(&st.job).max_bl.load(Ordering::Relaxed) as u128;
+            st.criticality = if st.bl as u128 * 1000 >= self.crit_permille as u128 * max_bl {
+                Criticality::Critical
+            } else {
+                Criticality::NonCritical
+            };
         }
-        (cost as u128) * (self.crit_den as u128) >= (self.crit_num as u128) * (max_bl as u128)
+        if st.criticality == Criticality::Critical {
+            RuntimeStats::bump(&self.stats.critical_tasks);
+        }
+        st.ready(slot, gen, body)
     }
 
     /// Settle a task that will not retry: publish its failure/poison
@@ -794,7 +777,7 @@ impl Shared {
                 if let Some(t) = &self.tracer {
                     t.emit(TraceEventKind::Ready, sst.tid, s, sgen, 0);
                 }
-                released.push(sst.ready(s, sgen, body));
+                released.push(self.release(&mut sst, s, sgen, body));
             }
         }
         self.slab.retire(slot_idx, &mut st);
@@ -1430,9 +1413,7 @@ impl Runtime {
             recorded: (config.record_graph || config.record_program)
                 .then(|| Mutex::new(Vec::new())),
             capture: config.record_program.then(ProgramCapture::default),
-            max_bl: AtomicU64::new(0),
-            crit_num: (config.criticality_threshold * 1000.0).round() as u64,
-            crit_den: 1000,
+            crit_permille: (config.criticality_threshold * 1000.0).round() as u64,
             tracer: tracer.clone(),
             shed: config
                 .shed_delay_budget
@@ -1700,6 +1681,19 @@ impl Runtime {
             preds_out.resize_with(n, Vec::new);
         }
         let total_edges: usize = preds_out.iter().map(|p| p.len()).sum();
+        // Bottom levels over the batch's own edges, exact in one pass
+        // from last to first (submission order is a topological order).
+        // An older task's id wraps past `i`: `wire_spawn` raises those.
+        let mut bl: Vec<u64> = tasks.iter().map(|t| t.meta.cost).collect();
+        for (i, preds) in preds_out.iter().enumerate().rev() {
+            for p in preds {
+                let j = p.tid.0.wrapping_sub(first) as usize;
+                if j < i {
+                    bl[j] = bl[j].max(tasks[j].meta.cost.saturating_add(bl[i]));
+                }
+            }
+        }
+        job.raise_max_bl(bl.iter().copied().max().unwrap_or(0));
         shared.stats.edges.add(total_edges as u64);
         shared.stats.spawned.add(n as u64);
         if !job.is_default() {
@@ -1717,7 +1711,8 @@ impl Runtime {
             let me = refs[i];
             ids.push(me.tid);
             let body = task.body.expect("checked in spawn_many_blocking");
-            if let Some(t) = self.wire_spawn(job, task.meta, body, false, me, preds, poison) {
+            if let Some(t) = self.wire_spawn(job, bl[i], task.meta, body, false, me, preds, poison)
+            {
                 ready.push(t);
             }
         }
@@ -1959,8 +1954,8 @@ impl Runtime {
         // Dependency discovery: only the shards covering the declared
         // regions are locked; access-free tasks skip the tracker whole —
         // and with it the early slot fill, which exists only so that
-        // whoever discovers the task through the tracker (a successor's
-        // criticality walk, a poisoner) finds its slot published.
+        // whoever discovers the task through the tracker (a successor
+        // wiring its edge, a poisoner) finds its slot published.
         // The job id namespaces the region table, so concurrent jobs
         // touching the same datum never serialise on false edges.
         let mut preds: Vec<TaskRef> = Vec::new();
@@ -1990,7 +1985,9 @@ impl Runtime {
             fence(Ordering::SeqCst);
             job.has_poison.load(Ordering::SeqCst)
         };
-        if let Some(t) = self.wire_spawn(job, meta, body, exempt, me, preds, poison) {
+        // A single spawn is a batch of one: a leaf, as deep as it costs.
+        job.raise_max_bl(meta.cost);
+        if let Some(t) = self.wire_spawn(job, meta.cost, meta, body, exempt, me, preds, poison) {
             // Affine push: a task body spawning on a worker thread keeps
             // its ready children on that worker's own deque.
             self.pool.push_affine(t);
@@ -2007,7 +2004,7 @@ impl Runtime {
     /// miss the task.
     fn fill_slot(
         &self,
-        st: &mut crate::task::SlotState,
+        st: &mut SlotState,
         job: &Arc<JobState>,
         meta: &TaskMeta,
         exempt: bool,
@@ -2020,6 +2017,13 @@ impl Runtime {
         st.tid = me.tid;
         st.cost = meta.cost;
         st.priority = meta.priority;
+        // Best-effort jobs never claim critical status (or the fast
+        // workers that come with it under CriticalityAware).
+        st.criticality = if job.qos.sheddable() {
+            Criticality::NonCritical
+        } else {
+            meta.criticality
+        };
         st.idempotent = meta.idempotent;
         st.exempt = exempt;
         st.job = (!job.is_default()).then(|| Arc::clone(job));
@@ -2082,20 +2086,23 @@ impl Runtime {
     }
 
     /// The tail of the spawn protocol, shared by the single and batched
-    /// paths: criticality, poison handling, the slot's remaining state,
-    /// edge wiring and the submission-guard drop. The caller has already
-    /// made the task outstanding, run dependency discovery (filling the
-    /// slot first, for a task that declares accesses) and published the
-    /// spawn counters; `poison` says whether the job's poison flag was
-    /// observed set (after the caller's fence). Returns the task when it
-    /// is ready to dispatch — no predecessor found, or every wired
-    /// predecessor settled before the guard dropped — and the caller
-    /// pushes it (batched callers push the whole batch under a single
-    /// wake).
+    /// paths: poison handling, the slot's remaining state, edge wiring
+    /// (raising each direct predecessor's bottom level under the lock
+    /// the edge takes anyway) and the submission-guard drop. The caller
+    /// has already made the task outstanding, run dependency discovery
+    /// (filling the slot first, for a task that declares accesses) and
+    /// published the spawn counters; `bl` is the task's bottom level as
+    /// far as the caller knows (and has raised the job's longest to),
+    /// `poison` whether the job's poison flag was observed set (after
+    /// the caller's fence). Returns the task when it is ready to
+    /// dispatch — no predecessor found, or every wired predecessor
+    /// settled before the guard dropped — and the caller pushes it
+    /// (batched callers push the whole batch under a single wake).
     #[allow(clippy::too_many_arguments)]
     fn wire_spawn(
         &self,
         job: &Arc<JobState>,
+        bl: u64,
         meta: TaskMeta,
         body: ExecBody,
         exempt: bool,
@@ -2110,17 +2117,6 @@ impl Runtime {
             gen,
         } = me;
         let slot = shared.slab.slot(slot_idx);
-        // Best-effort jobs never claim critical status (or the fast
-        // workers that come with it under CriticalityAware).
-        let critical = if job.qos.sheddable() {
-            false
-        } else {
-            match meta.criticality {
-                Criticality::Critical => true,
-                Criticality::NonCritical => false,
-                Criticality::Auto => shared.submit_criticality(&me, meta.cost.max(1), &preds),
-            }
-        };
         if let Some(rec) = &shared.recorded {
             rec.lock()
                 .push((meta.clone(), preds.iter().map(|p| p.tid).collect()));
@@ -2165,9 +2161,8 @@ impl Runtime {
             if !meta.tracked() {
                 self.fill_slot(&mut st, job, &meta, exempt, me);
             }
-            st.critical = critical;
+            st.bl = bl;
             st.label = meta.label;
-            st.preds.extend(preds.iter().map(|p| (p.slot, p.gen)));
             if poisoned_by.is_some() {
                 st.poisoned_by = poisoned_by;
             }
@@ -2178,7 +2173,7 @@ impl Runtime {
                 st.hedge_body = body.duplicate();
             }
             if preds.is_empty() {
-                ready = Some(st.ready(slot_idx, gen, body));
+                ready = Some(shared.release(&mut st, slot_idx, gen, body));
             } else {
                 st.body = Some(body);
             }
@@ -2193,6 +2188,8 @@ impl Runtime {
             let mut pst = pslot.state.lock();
             if pslot.gen.load(Ordering::Acquire) == p.gen && !pst.completed {
                 pst.succs.push(slot_idx);
+                pst.bl = pst.bl.max(pst.cost.saturating_add(bl));
+                job.raise_max_bl(pst.bl);
                 live_preds += 1;
             } else {
                 // Generation moved on or `completed` set: that
@@ -2200,9 +2197,6 @@ impl Runtime {
                 drop(pst);
                 slot.pending.fetch_sub(1, Ordering::AcqRel);
             }
-        }
-        if critical {
-            RuntimeStats::bump(&shared.stats.critical_tasks);
         }
         if let Some(t) = &shared.tracer {
             // arg = predecessor count << 1 | ready-at-spawn (ready tasks
@@ -2233,7 +2227,7 @@ impl Runtime {
                     t.emit(TraceEventKind::Ready, tid, slot_idx, gen, 0);
                 }
             }
-            ready = Some(st.ready(slot_idx, gen, body));
+            ready = Some(shared.release(&mut st, slot_idx, gen, body));
         }
         ready
     }
@@ -2318,6 +2312,8 @@ impl Runtime {
                 self.shared.wait_cv.wait_for(&mut g, QUIESCE_POLL);
             }
         }
+        // Quiescent: the next phase is a new TDG with its own longest path.
+        self.shared.default_job.max_bl.store(0, Ordering::Relaxed);
         self.shared.default_job.take_report()
     }
 

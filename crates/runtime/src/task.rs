@@ -203,7 +203,13 @@ pub struct SlotState {
     pub tid: TaskId,
     pub cost: u64,
     pub priority: i32,
-    pub critical: bool,
+    /// As annotated (`NonCritical` in a sheddable job). `Auto` lasts
+    /// until the task becomes ready: the release stores its decision
+    /// here, so retries and hedged duplicates reuse it.
+    pub criticality: Criticality,
+    /// Estimated bottom level: exact over the task's own batch, raised
+    /// by every successor wired later as it joins `succs` (one hop).
+    pub bl: u64,
     pub idempotent: bool,
     pub exempt: bool,
     pub completed: bool,
@@ -215,8 +221,6 @@ pub struct SlotState {
     pub body: Option<ExecBody>,
     /// Slot indices of successors to release on completion.
     pub succs: Vec<u32>,
-    /// `(slot, gen)` of predecessors (for the bounded criticality walk).
-    pub preds: Vec<(u32, u64)>,
     /// Declared regions, split by direction (poison bookkeeping).
     pub reads: Vec<Region>,
     pub writes: Vec<Region>,
@@ -261,7 +265,7 @@ impl SlotState {
             slot,
             gen,
             priority: self.priority,
-            critical: self.critical,
+            critical: self.criticality == Criticality::Critical,
             deadline_ns: self.deadline_ns,
             home: self.home,
             probe: self.job.is_some(),
@@ -276,7 +280,8 @@ impl SlotState {
         self.tid = TaskId(0);
         self.cost = 0;
         self.priority = 0;
-        self.critical = false;
+        self.criticality = Criticality::Auto;
+        self.bl = 0;
         self.idempotent = false;
         self.exempt = false;
         self.completed = false;
@@ -284,7 +289,6 @@ impl SlotState {
         self.label = Cow::Borrowed("");
         self.body = None;
         self.succs.clear();
-        self.preds.clear();
         self.reads.clear();
         self.writes.clear();
         self.poisoned_by = None;
@@ -300,15 +304,13 @@ impl SlotState {
 
 /// One slab slot. `gen` is even while free, odd while live; it advances
 /// on every alloc and free, so a stale `(slot, gen)` pair can always be
-/// detected. `pending` and `bl` sit outside the mutex: they are hammered
-/// by predecessors completing and descendants relaxing bottom levels.
+/// detected. `pending` sits outside the mutex: it is hammered by
+/// predecessors completing.
 pub struct TaskSlot {
     pub gen: AtomicU64,
     /// Unfinished predecessors + 1 submission guard (held by the
     /// spawning thread until wiring is complete).
     pub pending: AtomicU32,
-    /// Estimated bottom level (criticality).
-    pub bl: AtomicU64,
     /// Intrusive link of the owner's remote-free Treiber stack; only
     /// meaningful while the slot sits on a sideband.
     free_next: AtomicU32,
@@ -330,7 +332,6 @@ impl TaskSlot {
         TaskSlot {
             gen: AtomicU64::new(0),
             pending: AtomicU32::new(0),
-            bl: AtomicU64::new(0),
             free_next: AtomicU32::new(NIL),
             state: Mutex::new(SlotState::default()),
         }
@@ -540,7 +541,6 @@ impl TaskSlab {
         let gen = slot.gen.fetch_add(1, Ordering::AcqRel) + 1;
         debug_assert!(gen.is_multiple_of(2), "retire must release a live slot");
         st.clear();
-        slot.bl.store(0, Ordering::Relaxed);
     }
 
     /// Return a retired slot to the free list of the owner of its
