@@ -19,15 +19,17 @@
 //!   [`TaskId`] (used by analysis tools, benches and property tests);
 //! * [`ShardedDepTracker`] — the runtime's concurrent tracker: the
 //!   datum map is sharded by region-id hash, so spawns and completions
-//!   touching disjoint data never contend on a lock. Owners are
+//!   touching disjoint data never contend on a lock, and a sweep costs
+//!   its accesses: no allocation, no SipHash. Owners are
 //!   [`TaskRef`]s (slot + generation), letting the runtime detect stale
 //!   entries for already-completed predecessors without ever cleaning
 //!   the tracker from the completion path.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::region::{Access, RegionId, RegionRange};
 use crate::task::{TaskId, TaskRef};
@@ -75,20 +77,18 @@ impl<O: Copy + PartialEq> RegionState<O> {
         let hi = self.split_at(access.region.range.end);
         for seg in &mut self.segments[lo..hi] {
             debug_assert!(access.region.range.contains(&seg.range));
+            preds.extend(seg.last_writer);
             if access.mode.writes() {
-                if let Some(w) = seg.last_writer {
-                    preds.push(w);
-                }
                 preds.extend_from_slice(&seg.readers);
                 seg.last_writer = Some(owner);
                 seg.readers.clear();
-            } else {
-                if let Some(w) = seg.last_writer {
-                    preds.push(w);
-                }
-                if !seg.readers.contains(&owner) {
-                    seg.readers.push(owner);
-                }
+            } else if seg.readers.last() != Some(&owner) {
+                // The last entry is the only one to check: nobody else
+                // touches this list while a task's accesses are applied
+                // (the sharded sweep holds its locks throughout), so all
+                // of a task's pushes onto it are consecutive. A split
+                // clones the list with the tail, so both halves agree.
+                seg.readers.push(owner);
             }
         }
         self.coalesce(lo..hi);
@@ -199,8 +199,63 @@ pub struct ShardedDepTracker {
     edges: AtomicU64,
 }
 
-/// One shard's slice of the `(namespace, region)` table.
-type Shard = HashMap<(u64, RegionId), RegionState<TaskRef>>;
+/// One shard's slice of the `(namespace, region)` table. Never iterated,
+/// so the hasher cannot show in any output.
+type Shard = HashMap<Key, RegionState<TaskRef>, BuildHasherDefault<Premixed>>;
+
+/// A region-table key carrying the one multiply-mix of itself that
+/// picks both its shard and its place in that shard's map: the keys are
+/// this program's own sequential ids, which SipHash protected from
+/// nobody.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    mix: u64,
+    ns: u64,
+    id: RegionId,
+}
+
+impl Key {
+    fn new(ns: u64, id: RegionId) -> Self {
+        // Fibonacci hash: region ids are sequential, a multiply by the
+        // golden ratio spreads them over the high bits. The namespace is
+        // folded in with a second odd multiplier so one job's regions do
+        // not all collide with another job's on the same shard.
+        let mixed = id.0 ^ ns.wrapping_mul(0xA24B_AED4_963E_E407);
+        Key {
+            mix: mixed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ns,
+            id,
+        }
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.mix);
+    }
+}
+
+/// Hasher of the shard maps: a [`Key`]'s mix, turned half round.
+/// hashbrown buckets by a hash's low bits and tags by its top seven; a
+/// multiply mixes upward and the mix's top six bits are the shard index,
+/// the same for every key of one map, so buckets come from bits 32 up
+/// and tags from bits 25 to 31.
+#[derive(Default)]
+struct Premixed(u64);
+
+impl Hasher for Premixed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a shard key hashes as its mix");
+    }
+
+    fn write_u64(&mut self, mix: u64) {
+        self.0 = mix.rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 impl Default for ShardedDepTracker {
     fn default() -> Self {
@@ -214,60 +269,25 @@ impl ShardedDepTracker {
     }
 
     pub fn with_shards(n: usize) -> Self {
-        assert!(n.is_power_of_two());
+        // A sweep keeps its involved-shard set in one `u64`.
+        assert!(n.is_power_of_two() && n <= 64);
         ShardedDepTracker {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n as u64 - 1,
             edges: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(&self, ns: u64, id: RegionId) -> usize {
-        // Fibonacci hash: region ids are sequential, multiply-shift
-        // spreads them across shards. The namespace is folded in with a
-        // second odd multiplier so one job's regions do not all collide
-        // with another job's on the same shard.
-        let mixed = id.0 ^ ns.wrapping_mul(0xA24B_AED4_963E_E407);
-        ((mixed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask) as usize
+    fn shard_of(&self, key: &Key) -> usize {
+        ((key.mix >> 58) & self.mask) as usize
     }
 
     /// Record the declared accesses of `who` (within dependency
-    /// namespace `ns`) and append its predecessor set (deduplicated by
-    /// task id, self-edges removed) to `preds`.
-    ///
-    /// Every shard involved is locked *simultaneously*, in ascending
-    /// index order. Per-access locking would let two tasks observe each
-    /// other in opposite orders on different regions and deadlock the
-    /// TDG with an A→B, B→A cycle; ascending acquisition keeps the
-    /// simultaneous locking deadlock-free.
+    /// namespace `ns`) and leave its predecessor set (deduplicated by
+    /// task id, self-edges removed) in `preds`, whose allocation is
+    /// reused: a [`ShardedDepTracker::submit_batch`] of one.
     pub fn submit(&self, ns: u64, who: TaskRef, accesses: &[Access], preds: &mut Vec<TaskRef>) {
-        preds.clear();
-        let live = |a: &&Access| !a.region.range.is_empty();
-        let mut shard_ids: Vec<usize> = accesses
-            .iter()
-            .filter(live)
-            .map(|a| self.shard_of(ns, a.region.id))
-            .collect();
-        if shard_ids.is_empty() {
-            return;
-        }
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards: Vec<_> = shard_ids.iter().map(|&s| self.shards[s].lock()).collect();
-        for access in accesses.iter().filter(live) {
-            let pos = shard_ids
-                .binary_search(&self.shard_of(ns, access.region.id))
-                .expect("shard was collected above");
-            guards[pos]
-                .entry((ns, access.region.id))
-                .or_insert_with(RegionState::new)
-                .apply(who, access, preds);
-        }
-        drop(guards);
-        preds.sort_unstable_by_key(|r| r.tid);
-        preds.dedup_by_key(|r| r.tid);
-        preds.retain(|r| r.tid != who.tid);
-        self.edges.fetch_add(preds.len() as u64, Ordering::Relaxed);
+        self.sweep(ns, &[(who, accesses)], std::slice::from_mut(preds));
     }
 
     /// Number of dependency edges produced so far.
@@ -276,49 +296,65 @@ impl ShardedDepTracker {
     }
 
     /// Record the declared accesses of an ordered *batch* of tasks in one
-    /// locked sweep. The union of every involved shard is locked once
-    /// (ascending index order, same deadlock argument as
-    /// [`ShardedDepTracker::submit`]) and the tasks are applied in batch
-    /// order under that single critical section — so intra-batch edges
-    /// (task *i* depending on an earlier task *j* of the same batch) fall
-    /// out of the scoreboard exactly as if the tasks had been submitted
-    /// one at a time, at one lock round-trip per *batch* instead of per
-    /// task. `preds_out[i]` receives task *i*'s predecessor set, post-
-    /// processed like `submit`'s (sorted, deduplicated, self-edges
-    /// removed).
+    /// locked sweep, so intra-batch edges (task *i* depending on an
+    /// earlier task *j* of the same batch) fall out of the scoreboard
+    /// exactly as if the tasks had been submitted one at a time, at one
+    /// lock round-trip per *batch* instead of per task. `preds_out[i]`
+    /// receives task *i*'s predecessor set (sorted, deduplicated,
+    /// self-edges removed); the inner buffers of a reused `preds_out`
+    /// keep their allocations.
     pub fn submit_batch(
         &self,
         ns: u64,
         tasks: &[(TaskRef, &[Access])],
         preds_out: &mut Vec<Vec<TaskRef>>,
     ) {
-        preds_out.clear();
+        preds_out.resize_with(tasks.len(), Vec::new);
+        self.sweep(ns, tasks, preds_out);
+    }
+
+    /// The one sweep behind both entry points; allocates nothing beyond
+    /// what `apply` grows in the region table and in `preds_out`.
+    ///
+    /// Every shard involved is locked *simultaneously*, in ascending
+    /// index order (the set is a bit mask, walked from bit 0). Per-access
+    /// locking would let two tasks observe each other in opposite orders
+    /// on different regions and deadlock the TDG with an A→B, B→A cycle;
+    /// ascending acquisition keeps the simultaneous locking
+    /// deadlock-free. The locks must all be held before the first
+    /// `apply`, hence two passes; each makes its access's [`Key`] anew
+    /// (one multiply) rather than carry it across in a buffer.
+    fn sweep(&self, ns: u64, tasks: &[(TaskRef, &[Access])], preds_out: &mut [Vec<TaskRef>]) {
         let live = |a: &&Access| !a.region.range.is_empty();
-        let mut shard_ids: Vec<usize> = tasks
-            .iter()
-            .flat_map(|(_, accesses)| accesses.iter().filter(live))
-            .map(|a| self.shard_of(ns, a.region.id))
-            .collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards: Vec<_> = shard_ids.iter().map(|&s| self.shards[s].lock()).collect();
+        let mut involved = 0u64;
+        for (_, accesses) in tasks {
+            for a in accesses.iter().filter(live) {
+                involved |= 1 << self.shard_of(&Key::new(ns, a.region.id));
+            }
+        }
+        let mut guards: [Option<MutexGuard<'_, Shard>>; 64] = [const { None }; 64];
+        let mut rest = involved;
+        while rest != 0 {
+            let s = rest.trailing_zeros() as usize;
+            guards[s] = Some(self.shards[s].lock());
+            rest &= rest - 1;
+        }
         let mut total_edges = 0u64;
-        for &(who, accesses) in tasks {
-            let mut preds: Vec<TaskRef> = Vec::new();
+        for (&(who, accesses), preds) in tasks.iter().zip(preds_out) {
+            preds.clear();
             for access in accesses.iter().filter(live) {
-                let pos = shard_ids
-                    .binary_search(&self.shard_of(ns, access.region.id))
-                    .expect("shard was collected above");
-                guards[pos]
-                    .entry((ns, access.region.id))
+                let key = Key::new(ns, access.region.id);
+                guards[self.shard_of(&key)]
+                    .as_mut()
+                    .expect("shard was locked above")
+                    .entry(key)
                     .or_insert_with(RegionState::new)
-                    .apply(who, access, &mut preds);
+                    .apply(who, access, preds);
             }
             preds.sort_unstable_by_key(|r| r.tid);
             preds.dedup_by_key(|r| r.tid);
             preds.retain(|r| r.tid != who.tid);
             total_edges += preds.len() as u64;
-            preds_out.push(preds);
         }
         drop(guards);
         self.edges.fetch_add(total_edges, Ordering::Relaxed);
@@ -645,6 +681,108 @@ mod tests {
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].tid, TaskId(0));
         assert_eq!(t.edges_produced(), 1);
+    }
+
+    /// The mask-ordered locking's version of the ascending-order
+    /// argument. Two threads write the same two regions (on different
+    /// shards), declared in opposite orders: locking in declaration
+    /// order would deadlock, locking per access would let two tasks see
+    /// each other in opposite orders on the two regions. Every task
+    /// overwrites both, so "ordered the same way on both" reads: at most
+    /// one predecessor, and the predecessors form one chain.
+    #[test]
+    fn opposite_declaration_orders_neither_deadlock_nor_cycle() {
+        const ROUNDS: u32 = 10_000;
+        let t = ShardedDepTracker::new();
+        let shard = |id| t.shard_of(&Key::new(0, RegionId(id)));
+        let b = (1..).find(|&id| shard(id) != shard(0)).unwrap();
+        let go = std::sync::Barrier::new(2);
+        let run = |lane: u32, first: u64, second: u64| {
+            let mut pred_of = Vec::with_capacity(ROUNDS as usize);
+            let mut preds = Vec::new();
+            go.wait();
+            for round in 0..ROUNDS {
+                let who = tref(2 * round + lane);
+                let accesses = [
+                    acc(first, 0, 8, AccessMode::Write),
+                    acc(second, 0, 8, AccessMode::Write),
+                ];
+                t.submit(0, who, &accesses, &mut preds);
+                assert!(preds.len() <= 1, "{who:?} ordered differently: {preds:?}");
+                pred_of.push((who.tid, preds.first().map(|p| p.tid)));
+            }
+            pred_of
+        };
+        let (ab, ba) = std::thread::scope(|s| {
+            let ab = s.spawn(|| run(0, 0, b));
+            let ba = s.spawn(|| run(1, b, 0));
+            (ab.join().unwrap(), ba.join().unwrap())
+        });
+        let pred_of: HashMap<TaskId, Option<TaskId>> = ab.into_iter().chain(ba).collect();
+        // One chain through all of them: walking back from the last
+        // writer reaches the first after visiting everybody once.
+        let heads: std::collections::HashSet<_> = pred_of.values().flatten().collect();
+        let last = pred_of.keys().find(|t| !heads.contains(t)).unwrap();
+        let mut seen = 1;
+        let mut at = *last;
+        while let Some(p) = pred_of[&at] {
+            at = p;
+            seen += 1;
+            assert!(seen <= 2 * ROUNDS, "cycle through {at:?}");
+        }
+        assert_eq!(seen, 2 * ROUNDS);
+    }
+
+    /// hashbrown buckets by a hash's low bits and tags by its top seven;
+    /// both, and the shard index, must come out near-uniform for what
+    /// the runtime feeds them: sequential region ids under a few jobs.
+    #[test]
+    fn shard_map_hash_spreads_sequential_ids() {
+        use std::hash::BuildHasher;
+        let t = ShardedDepTracker::new();
+        let build = BuildHasherDefault::<Premixed>::default();
+        let (mut low, mut top, mut shard) = ([0u32; 128], [0u32; 128], [0u32; 64]);
+        for job in 0..4u64 {
+            for id in 0..100_000 {
+                let ns = job << 32 | 1;
+                let key = Key::new(ns, RegionId(id));
+                let h = build.hash_one(key);
+                low[(h % 128) as usize] += 1;
+                top[(h >> 57) as usize] += 1;
+                shard[t.shard_of(&key)] += 1;
+            }
+        }
+        for (what, counts) in [("low", &low[..]), ("top", &top[..]), ("shard", &shard[..])] {
+            let mean = 400_000.0 / counts.len() as f64;
+            let worst = counts
+                .iter()
+                .map(|&c| (c as f64 - mean).abs() / mean)
+                .fold(0.0, f64::max);
+            assert!(
+                worst < 0.05,
+                "{what} bits: a bucket is {worst:.3} off the mean"
+            );
+        }
+    }
+
+    /// The O(1) duplicate-reader guard looks at the tail only; a task
+    /// reading one segment through two overlapping accesses — the second
+    /// one splitting what the first one left — must still be on each
+    /// reader list once.
+    #[test]
+    fn overlapping_reads_of_one_task_list_it_once() {
+        let mut state: RegionState<TaskId> = RegionState::new();
+        let mut preds = Vec::new();
+        state.apply(TaskId(0), &acc(7, 0, 32, AccessMode::Write), &mut preds);
+        state.apply(TaskId(1), &acc(7, 0, 16, AccessMode::Read), &mut preds);
+        for (start, end) in [(0, 10), (5, 15), (0, 10), (8, 40), (0, u64::MAX)] {
+            state.apply(TaskId(2), &acc(7, start, end, AccessMode::Read), &mut preds);
+            for seg in &state.segments {
+                let twos = seg.readers.iter().filter(|&&r| r == TaskId(2)).count();
+                assert!(twos <= 1, "[{start},{end}): {:?}", state.segments);
+            }
+        }
+        assert_eq!(state.segments[0].readers, [TaskId(1), TaskId(2)]);
     }
 
     /// Oracle cross-check: a naive per-element tracker must agree with the

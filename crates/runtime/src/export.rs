@@ -396,9 +396,13 @@ impl MetricsReport {
                 TraceEventKind::EnqueueGlobal => Some(3),
                 // Ready-at-spawn tasks pushed from an external thread get
                 // no explicit enqueue event — their Spawn record (ready
-                // bit set) marks the push. A worker-side enqueue, when
-                // present, overwrites this below.
+                // bit set) marks the push, or their Ready record when a
+                // live predecessor settled before the spawner dropped
+                // its guard and the release fell to the spawner. A
+                // worker-side enqueue, when present, overwrites this
+                // below.
                 TraceEventKind::Spawn if ev.arg & 1 == 1 => Some(4),
+                TraceEventKind::Ready => Some(4),
                 _ => None,
             };
             if let Some(b) = bucket {
@@ -1214,6 +1218,37 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("16 started"));
         assert!(text.contains("retry histogram"));
+    }
+
+    /// A task whose live predecessor settles between the edge push and
+    /// the guard drop is released by its (external) spawner: Spawn
+    /// without the ready bit, Ready, no enqueue event, Start.
+    #[test]
+    fn residency_counts_a_task_released_by_its_external_spawner() {
+        let ev = |kind, ts_ns, arg, worker| TraceEvent {
+            ts_ns,
+            task: TaskId(7),
+            slot: 3,
+            gen: 1,
+            arg,
+            worker,
+            kind,
+        };
+        let trace = Trace {
+            workers: 1,
+            tracks: vec![
+                vec![ev(TraceEventKind::Start, 30, 0, 0)],
+                vec![
+                    ev(TraceEventKind::Spawn, 10, 1 << 1, EXTERNAL_WORKER),
+                    ev(TraceEventKind::Ready, 20, 0, EXTERNAL_WORKER),
+                ],
+            ],
+            dropped: vec![0, 0],
+        };
+        let m = MetricsReport::build(&trace, &StatsSnapshot::default());
+        assert_eq!(m.residency.len(), 1);
+        let r = &m.residency[0];
+        assert_eq!((r.target, r.count, r.total_ns), ("at-spawn", 1, 10));
     }
 
     #[test]

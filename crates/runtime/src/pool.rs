@@ -59,25 +59,6 @@ pub fn current_worker() -> Option<usize> {
     CURRENT_WORKER.with(|c| c.get()).map(|(_, w)| w)
 }
 
-/// What a completed task reports back to the pool.
-pub struct Completion {
-    /// Tasks released by this completion, ready to run.
-    pub released: Vec<ReadyTask>,
-    /// Re-enqueue this task after the backoff (retry of a failed
-    /// idempotent task).
-    pub retry: Option<(ReadyTask, Duration)>,
-}
-
-impl Completion {
-    /// A completion that only releases successors.
-    pub fn released(released: Vec<ReadyTask>) -> Self {
-        Completion {
-            released,
-            retry: None,
-        }
-    }
-}
-
 /// The runtime side of the pool: handed each popped task to execute,
 /// told when it finished (cleanly or by panic), and responds with the
 /// tasks that became ready. The spent task is handed back whole so the
@@ -91,7 +72,17 @@ pub trait PoolClient: Send + Sync + 'static {
         task.body.run()
     }
 
-    fn on_complete(&self, task: ReadyTask, panicked: Option<String>) -> Completion;
+    /// `task` finished (cleanly or by panic): append the tasks it
+    /// released to `released` — a buffer the worker loop owns, drains
+    /// after every call and reuses, so a completion allocates no list —
+    /// and return the task with a backoff to have it re-enqueued as a
+    /// retry (of a failed idempotent task).
+    fn on_complete(
+        &self,
+        task: ReadyTask,
+        panicked: Option<String>,
+        released: &mut Vec<ReadyTask>,
+    ) -> Option<(ReadyTask, Duration)>;
 
     /// The watchdog noticed a worker stuck on `slot`'s task for
     /// `running_ns`. Return a duplicate [`ReadyTask`] to enqueue as a
@@ -556,6 +547,7 @@ fn worker_loop(who: usize, shared: Arc<PoolShared>, client: Arc<dyn PoolClient>)
     // microseconds away without paying the park/unpark round-trip.
     const SPIN_POLLS: u32 = 4;
     let mut misses = 0u32;
+    let mut released = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -563,7 +555,7 @@ fn worker_loop(who: usize, shared: Arc<PoolShared>, client: Arc<dyn PoolClient>)
         shared.heartbeats[who].fetch_add(1, Ordering::Relaxed);
         if let Some(task) = shared.queues.pop(who, local, &shared.stealers) {
             misses = 0;
-            run_one(task, who, local, &shared, &client);
+            run_one(task, who, local, &shared, &client, &mut released);
             if injected_death(who, &shared) {
                 return;
             }
@@ -590,7 +582,7 @@ fn worker_loop(who: usize, shared: Arc<PoolShared>, client: Arc<dyn PoolClient>)
         if let Some(task) = shared.queues.pop(who, local, &shared.stealers) {
             shared.idle_count.fetch_sub(1, Ordering::SeqCst);
             drop(guard);
-            run_one(task, who, local, &shared, &client);
+            run_one(task, who, local, &shared, &client, &mut released);
             if injected_death(who, &shared) {
                 return;
             }
@@ -658,6 +650,7 @@ fn run_one(
     local: Option<(&WorkerDeque<ReadyTask>, usize)>,
     shared: &PoolShared,
     client: &Arc<dyn PoolClient>,
+    released: &mut Vec<ReadyTask>,
 ) {
     shared.executed[who].fetch_add(1, Ordering::Relaxed);
     shared.heartbeats[who].fetch_add(1, Ordering::Relaxed);
@@ -677,15 +670,15 @@ fn run_one(
         shared.current_slot[who].store(u64::MAX, Ordering::Release);
     }
     shared.busy[who].store(false, Ordering::Relaxed);
-    let completion = client.on_complete(task, panicked);
-    let n = completion.released.len();
+    let retry = client.on_complete(task, panicked, released);
+    let n = released.len();
     let mut nonlocal = 0usize;
-    for t in completion.released {
+    for t in released.drain(..) {
         if !shared.queues.push(t, local) {
             nonlocal += 1;
         }
     }
-    if let Some((t, delay)) = completion.retry {
+    if let Some((t, delay)) = retry {
         shared.schedule_retry(t, delay);
     }
     if n > 1 {
@@ -879,12 +872,17 @@ mod tests {
     }
 
     impl PoolClient for CountingClient {
-        fn on_complete(&self, _task: ReadyTask, panicked: Option<String>) -> Completion {
+        fn on_complete(
+            &self,
+            _task: ReadyTask,
+            panicked: Option<String>,
+            _released: &mut Vec<ReadyTask>,
+        ) -> Option<(ReadyTask, Duration)> {
             if panicked.is_some() {
                 self.panics.fetch_add(1, Ordering::SeqCst);
             }
             self.done.fetch_add(1, Ordering::SeqCst);
-            Completion::released(Vec::new())
+            None
         }
     }
 
@@ -1008,13 +1006,17 @@ mod tests {
             target: u64,
         }
         impl PoolClient for ChainClient {
-            fn on_complete(&self, task: ReadyTask, _panicked: Option<String>) -> Completion {
+            fn on_complete(
+                &self,
+                task: ReadyTask,
+                _panicked: Option<String>,
+                released: &mut Vec<ReadyTask>,
+            ) -> Option<(ReadyTask, Duration)> {
                 let n = self.done.fetch_add(1, Ordering::SeqCst) + 1;
                 if n < self.target {
-                    Completion::released(vec![ready(task.id.0 + 1, || {})])
-                } else {
-                    Completion::released(Vec::new())
+                    released.push(ready(task.id.0 + 1, || {}));
                 }
+                None
             }
         }
         let queues = Arc::new(ReadyQueues::new(SchedulerPolicy::WorkStealing));
@@ -1107,16 +1109,18 @@ mod tests {
             retried: AtomicU64,
         }
         impl PoolClient for RetryOnce {
-            fn on_complete(&self, task: ReadyTask, panicked: Option<String>) -> Completion {
+            fn on_complete(
+                &self,
+                task: ReadyTask,
+                panicked: Option<String>,
+                _released: &mut Vec<ReadyTask>,
+            ) -> Option<(ReadyTask, Duration)> {
                 if panicked.is_some() && self.retried.load(Ordering::SeqCst) == 0 {
                     self.retried.fetch_add(1, Ordering::SeqCst);
-                    return Completion {
-                        released: Vec::new(),
-                        retry: Some((task, Duration::from_millis(1))),
-                    };
+                    return Some((task, Duration::from_millis(1)));
                 }
                 self.done.fetch_add(1, Ordering::SeqCst);
-                Completion::released(Vec::new())
+                None
             }
         }
         let queues = Arc::new(ReadyQueues::new(SchedulerPolicy::WorkStealing));

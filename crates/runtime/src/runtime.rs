@@ -36,6 +36,7 @@
 //! a deadline.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -51,7 +52,7 @@ use crate::job::{
     cleanse, AdmissionError, DrainReport, JobId, JobSpec, JobState, JobStats, JobTable,
     PoisonedRegion,
 };
-use crate::pool::{Completion, PoolClient, PoolOptions, PoolStatsHandle, WorkerPool};
+use crate::pool::{PoolClient, PoolOptions, PoolStatsHandle, WorkerPool};
 use crate::program::{SinkGuard, TaskProgram};
 use crate::region::{Access, AccessMode, DataHandle, Region};
 use crate::scheduler::{QosClass, ReadyQueues, ReadyTask, SchedulerPolicy};
@@ -700,12 +701,13 @@ impl Shared {
 
     /// Settle a task that will not retry: publish its failure/poison
     /// into its job's fault domain, release its successors and retire
-    /// its slot. Returns the released tasks, whether the task was an
-    /// exempt sentinel (no job accounting) and the submitted job's
-    /// handle moved out of the slot (`None`: the default job) — or
-    /// `None` overall when this completion is a *duplicate*: a hedged
-    /// task's losing copy arriving after the winner already settled the
-    /// slot (see [`crate::task::TaskSlot::lock_live`]).
+    /// its slot. Appends the released tasks to `released` and returns
+    /// whether the task was an exempt sentinel (no job accounting) and
+    /// the submitted job's handle moved out of the slot (`None`: the
+    /// default job) — or `None` overall when this completion is a
+    /// *duplicate*: a hedged task's losing copy arriving after the
+    /// winner already settled the slot (see
+    /// [`crate::task::TaskSlot::lock_live`]).
     ///
     /// A task that succeeded holds its slot lock exactly once, from the
     /// duplicate check to the retire: successors are walked in place
@@ -714,14 +716,14 @@ impl Shared {
     /// and `label`/`writes` stay where they are, keeping their
     /// allocations for the slot's next tenant. Only a failure gives the
     /// lock up in between, because poisoning walks every live slot.
-    #[allow(clippy::type_complexity)]
     fn settle(
         &self,
         task: TaskId,
         slot_idx: u32,
         gen: u64,
         panicked: Option<String>,
-    ) -> Option<(Vec<ReadyTask>, bool, Option<Arc<JobState>>)> {
+        released: &mut Vec<ReadyTask>,
+    ) -> Option<(bool, Option<Arc<JobState>>)> {
         let slot = self.slab.slot(slot_idx);
         let mut st = slot.lock_live(gen)?;
         st.completed = true;
@@ -767,7 +769,6 @@ impl Shared {
                 st = slot.state.lock();
             }
         }
-        let mut released = Vec::new();
         for &s in &st.succs {
             let sslot = self.slab.slot(s);
             if sslot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -783,7 +784,7 @@ impl Shared {
         self.slab.retire(slot_idx, &mut st);
         drop(st);
         self.slab.recycle(slot_idx);
-        Some((released, exempt, job))
+        Some((exempt, job))
     }
 
     /// Deadline expiry for one registered job. A job that already
@@ -1193,14 +1194,17 @@ impl PoolClient for Shared {
         );
     }
 
-    fn on_complete(&self, task: ReadyTask, panicked: Option<String>) -> Completion {
+    fn on_complete(
+        &self,
+        task: ReadyTask,
+        panicked: Option<String>,
+        released: &mut Vec<ReadyTask>,
+    ) -> Option<(ReadyTask, Duration)> {
         let (tid, slot_idx) = (task.id, task.slot);
         if panicked.is_some() {
-            let Some(mut st) = self.slab.slot(slot_idx).lock_live(task.gen) else {
-                // A hedged task's losing copy panicked after the winner
-                // settled: the task is done, nothing to account.
-                return Completion::released(Vec::new());
-            };
+            // A hedged task's losing copy panicked after the winner
+            // settled: the task is done, nothing to account.
+            let mut st = self.slab.slot(slot_idx).lock_live(task.gen)?;
             RuntimeStats::bump(&self.stats.panicked);
             st.attempts += 1;
             // The retry budget is the *job's*: each tenant pays for its
@@ -1226,24 +1230,19 @@ impl PoolClient for Shared {
                     );
                 }
                 let delay = job.retry.backoff_after(st.attempts);
-                return Completion {
-                    released: Vec::new(),
-                    retry: Some((task, delay)),
-                };
+                return Some((task, delay));
             }
         }
-        let Some((released, exempt, job)) = self.settle(tid, slot_idx, task.gen, panicked) else {
-            // Duplicate completion (hedge loser): the winner already ran
-            // every piece of accounting below. Touching any counter here
-            // would double-count.
-            return Completion::released(Vec::new());
-        };
+        // `None`: duplicate completion (hedge loser). The winner already
+        // ran every piece of accounting below; touching any counter here
+        // would double-count.
+        let (exempt, job) = self.settle(tid, slot_idx, task.gen, panicked, released)?;
         self.stats.completed.add(1);
         if !exempt {
             let job = self.job_of(&job);
             // Free the admission slot *before* waking joiners and blocked
             // spawners, so anyone woken observes the capacity. The
-            // default job carries no per-job counters (see `admit`).
+            // default job carries no per-job counters (see `admit_many`).
             if self.track_admitted {
                 self.admitted.fetch_sub(1, Ordering::SeqCst);
             }
@@ -1274,7 +1273,7 @@ impl PoolClient for Shared {
         // this counter exists to avoid — quiescence waiters poll on a
         // bounded wait instead.
         self.outstanding.dec(1);
-        Completion::released(released)
+        None
     }
 
     /// The watchdog found a worker stuck on `slot_idx` for `running_ns`.
@@ -1311,6 +1310,16 @@ impl PoolClient for Shared {
         dup.probe = true;
         Some(dup)
     }
+}
+
+thread_local! {
+    /// The spawning thread's predecessor buffers: checked out for one
+    /// tracked spawn (exactly one) or batch (one per task), filled by
+    /// the tracker, read by `wire_spawn` and put back, so steady-state
+    /// spawns allocate none. The thread keeps as many as its last
+    /// tracked batch was wide, until a narrower batch or a single spawn
+    /// drops them. A spawn that finds them checked out starts afresh.
+    static PRED_SCRATCH: Cell<Vec<Vec<TaskRef>>> = const { Cell::new(Vec::new()) };
 }
 
 /// The task dataflow runtime. See the crate docs for a usage example.
@@ -1565,7 +1574,7 @@ impl Runtime {
         block: bool,
     ) -> Result<TaskId, AdmissionError> {
         loop {
-            match self.admit(job) {
+            match self.admit_many(job, 1) {
                 Ok(()) => break,
                 Err(AdmissionError::Busy) if block => self.wait_for_capacity(),
                 Err(e) => return Err(e),
@@ -1666,9 +1675,12 @@ impl Runtime {
         // One ascending-order sweep over the union of the batch's
         // shards; later batch entries observe earlier ones as ordinary
         // predecessors (the scoreboard is applied in batch order under
-        // the one critical section).
-        let mut preds_out: Vec<Vec<TaskRef>> = Vec::with_capacity(n);
-        if tasks.iter().any(|t| t.meta.tracked()) {
+        // the one critical section). An access-free batch skips it and
+        // the scratch: every task gets the empty predecessor set.
+        let tracked = tasks.iter().any(|t| t.meta.tracked());
+        let mut preds_out = Vec::new();
+        if tracked {
+            preds_out = PRED_SCRATCH.take();
             let entries: Vec<(TaskRef, &[Access])> = refs
                 .iter()
                 .zip(&tasks)
@@ -1677,8 +1689,6 @@ impl Runtime {
             shared
                 .tracker
                 .submit_batch(job.id.key(), &entries, &mut preds_out);
-        } else {
-            preds_out.resize_with(n, Vec::new);
         }
         let total_edges: usize = preds_out.iter().map(|p| p.len()).sum();
         // Bottom levels over the batch's own edges, exact in one pass
@@ -1707,23 +1717,29 @@ impl Runtime {
         };
         let mut ready: Vec<ReadyTask> = Vec::new();
         let mut ids = Vec::with_capacity(n);
-        for (i, (task, preds)) in tasks.into_iter().zip(preds_out).enumerate() {
+        for (i, task) in tasks.into_iter().enumerate() {
             let me = refs[i];
             ids.push(me.tid);
             let body = task.body.expect("checked in spawn_many_blocking");
+            let preds = preds_out.get(i).map_or(&[][..], Vec::as_slice);
             if let Some(t) = self.wire_spawn(job, bl[i], task.meta, body, false, me, preds, poison)
             {
                 ready.push(t);
             }
         }
+        if tracked {
+            PRED_SCRATCH.set(preds_out);
+        }
         self.pool.push_affine_batch(ready);
         ids
     }
 
-    /// [`Runtime::admit`] for `n` tasks in one reservation: every
-    /// counter moves once by `n` instead of `n` times by one, and the
-    /// batch is admitted or refused atomically — a partial batch never
-    /// leaks reservations.
+    /// Reserve in-flight slots for `n` tasks of `job` (a single spawn is
+    /// a batch of one), or say why not. Every counter moves once by `n`
+    /// and the batch is admitted or refused atomically — a partial batch
+    /// never leaks reservations. Reservation order: job-level caps
+    /// first, the global cap last, with per-job rollback when the global
+    /// reservation fails — so a refusal leaves every counter untouched.
     fn admit_many(&self, job: &Arc<JobState>, n: u64) -> Result<(), AdmissionError> {
         debug_assert!(n > 0);
         let shared = &*self.shared;
@@ -1746,9 +1762,16 @@ impl Runtime {
                 return Err(AdmissionError::Shed);
             }
         }
+        // Per-job reservation. The default job is exempt: it has no
+        // handle, so nothing can join, cap or inspect it — skipping its
+        // counters keeps `Runtime::task` spawns free of per-job RMWs
+        // (its failure and poison bookkeeping is unaffected).
         let now = if job.is_default() {
             0
         } else if let Some(cap) = job.max_in_flight {
+            // The cap is inherently one shared number: reserve against
+            // the exact counter, then mirror into the striped gauge
+            // joiners read.
             match job
                 .reserved
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
@@ -1764,6 +1787,10 @@ impl Runtime {
                 }
             }
         } else {
+            // Uncapped: only the local stripe is touched. No exact
+            // "current" value exists cheaply, so the high-water mark is
+            // sampled lazily at `stats()` instead (now = 0 skips the
+            // update below).
             job.in_flight.inc(n);
             0
         };
@@ -1775,6 +1802,9 @@ impl Runtime {
                 })
                 .is_err()
             {
+                // Roll back the per-job reservation (with the joiner
+                // wakeup a settle would do — a joiner may have seen the
+                // transient count).
                 if !job.is_default() {
                     job.release_in_flight_many(n);
                 }
@@ -1784,121 +1814,18 @@ impl Runtime {
         } else if shared.track_admitted {
             shared.admitted.fetch_add(n, Ordering::SeqCst);
         }
-        // Cancellation re-check after both reservations — same lost-
-        // reservation hazard as the single-task `admit`.
+        // Cancellation re-check *after* both reservations: a cancel that
+        // raced in between (e.g. the deadline reaper firing while a
+        // blocking spawn waited out `Busy`) would otherwise leave this
+        // reservation leaked forever — the tasks it was made for are
+        // never spawned, so no completion ever releases it, and the
+        // job's joiners hang on a phantom in-flight count.
         if job.cancelled.load(Ordering::SeqCst) {
             if shared.track_admitted {
                 shared.admitted.fetch_sub(n, Ordering::SeqCst);
             }
             if !job.is_default() {
                 job.release_in_flight_many(n);
-            }
-            if shared.admission_waiters.load(Ordering::SeqCst) > 0 {
-                let _g = shared.admission_lock.lock();
-                shared.admission_cv.notify_all();
-            }
-            return Err(AdmissionError::Cancelled);
-        }
-        if now > job.in_flight_hwm.load(Ordering::Relaxed) {
-            job.in_flight_hwm.fetch_max(now, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Reserve one in-flight slot for a task of `job`, or say why not.
-    /// Reservation order: job-level caps first, the global cap last,
-    /// with per-job rollback when the global reservation fails — so a
-    /// refused spawn leaves every counter untouched.
-    fn admit(&self, job: &Arc<JobState>) -> Result<(), AdmissionError> {
-        let shared = &*self.shared;
-        if shared.terminated.load(Ordering::SeqCst)
-            || shared.lifecycle.load(Ordering::SeqCst) == LIFECYCLE_DRAINED
-        {
-            return Err(AdmissionError::Draining);
-        }
-        if job.cancelled.load(Ordering::SeqCst) {
-            return Err(AdmissionError::Cancelled);
-        }
-        if job.qos.sheddable() {
-            if let Some(wm) = self.config.shed_watermark {
-                if shared.admitted.load(Ordering::SeqCst) >= wm as u64 {
-                    RuntimeStats::bump(&shared.stats.tasks_shed);
-                    job.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(AdmissionError::Shed);
-                }
-            }
-            if let Some(ctl) = &shared.shed {
-                if ctl.should_shed() {
-                    RuntimeStats::bump(&shared.stats.tasks_shed);
-                    job.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(AdmissionError::Shed);
-                }
-            }
-        }
-        // Per-job reservation. The default job is exempt: it has no
-        // handle, so nothing can join, cap or inspect it — skipping its
-        // counters keeps `Runtime::task` spawns free of per-job RMWs
-        // (its failure and poison bookkeeping is unaffected).
-        let now = if job.is_default() {
-            0
-        } else if let Some(cap) = job.max_in_flight {
-            // The cap is inherently one shared number: reserve against
-            // the exact counter, then mirror into the striped gauge
-            // joiners read.
-            match job
-                .reserved
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                    (v < cap as u64).then_some(v + 1)
-                }) {
-                Ok(prev) => {
-                    job.in_flight.inc(1);
-                    prev + 1
-                }
-                Err(_) => {
-                    RuntimeStats::bump(&shared.stats.admission_rejected);
-                    return Err(AdmissionError::Busy);
-                }
-            }
-        } else {
-            // Uncapped: only the local stripe is touched. No exact
-            // "current" value exists cheaply, so the high-water mark is
-            // sampled lazily at `stats()` instead (now = 0 skips the
-            // update below).
-            job.in_flight.inc(1);
-            0
-        };
-        if let Some(cap) = self.config.max_in_flight {
-            if shared
-                .admitted
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                    (v < cap as u64).then_some(v + 1)
-                })
-                .is_err()
-            {
-                // Roll back the per-job reservation (with the joiner
-                // wakeup a settle would do — a joiner may have seen the
-                // transient count).
-                if !job.is_default() {
-                    job.release_in_flight();
-                }
-                RuntimeStats::bump(&shared.stats.admission_rejected);
-                return Err(AdmissionError::Busy);
-            }
-        } else if shared.track_admitted {
-            shared.admitted.fetch_add(1, Ordering::SeqCst);
-        }
-        // Cancellation re-check *after* both reservations: a cancel that
-        // raced in between (e.g. the deadline reaper firing while a
-        // blocking spawn waited out `Busy`) would otherwise leave this
-        // reservation leaked forever — the task it was reserved for is
-        // never spawned, so no completion ever releases it, and the
-        // job's joiners hang on a phantom in-flight count.
-        if job.cancelled.load(Ordering::SeqCst) {
-            if shared.track_admitted {
-                shared.admitted.fetch_sub(1, Ordering::SeqCst);
-            }
-            if !job.is_default() {
-                job.release_in_flight();
             }
             if shared.admission_waiters.load(Ordering::SeqCst) > 0 {
                 let _g = shared.admission_lock.lock();
@@ -1958,8 +1885,9 @@ impl Runtime {
         // wiring its edge, a poisoner) finds its slot published.
         // The job id namespaces the region table, so concurrent jobs
         // touching the same datum never serialise on false edges.
-        let mut preds: Vec<TaskRef> = Vec::new();
-        if meta.tracked() {
+        let tracked = meta.tracked();
+        let mut scratch = Vec::new();
+        if tracked {
             self.fill_slot(
                 &mut shared.slab.slot(slot_idx).state.lock(),
                 job,
@@ -1967,10 +1895,15 @@ impl Runtime {
                 exempt,
                 me,
             );
+            scratch = PRED_SCRATCH.take();
+            if scratch.len() != 1 {
+                scratch = vec![Vec::new()];
+            }
             shared
                 .tracker
-                .submit(job.id.key(), me, &meta.accesses, &mut preds);
+                .submit(job.id.key(), me, &meta.accesses, &mut scratch[0]);
         }
+        let preds = scratch.first().map_or(&[][..], Vec::as_slice);
         // Spawn counters must be published before the task can possibly
         // complete (i.e. before `wire_spawn` drops the submission guard):
         // a completion outrunning `spawned` would let `reap` observe
@@ -1987,7 +1920,11 @@ impl Runtime {
         };
         // A single spawn is a batch of one: a leaf, as deep as it costs.
         job.raise_max_bl(meta.cost);
-        if let Some(t) = self.wire_spawn(job, meta.cost, meta, body, exempt, me, preds, poison) {
+        let ready = self.wire_spawn(job, meta.cost, meta, body, exempt, me, preds, poison);
+        if tracked {
+            PRED_SCRATCH.set(scratch);
+        }
+        if let Some(t) = ready {
             // Affine push: a task body spawning on a worker thread keeps
             // its ready children on that worker's own deque.
             self.pool.push_affine(t);
@@ -2107,7 +2044,7 @@ impl Runtime {
         body: ExecBody,
         exempt: bool,
         me: TaskRef,
-        preds: Vec<TaskRef>,
+        preds: &[TaskRef],
         poison: bool,
     ) -> Option<ReadyTask> {
         let shared = &*self.shared;
@@ -2161,7 +2098,10 @@ impl Runtime {
             if !meta.tracked() {
                 self.fill_slot(&mut st, job, &meta, exempt, me);
             }
-            st.bl = bl;
+            // Not `= bl`: the tracker has been showing a tracked task
+            // since before this lock, and a successor wired from another
+            // thread may have raised it already (`retire` zeroed it).
+            st.bl = st.bl.max(bl);
             st.label = meta.label;
             if poisoned_by.is_some() {
                 st.poisoned_by = poisoned_by;
@@ -2178,26 +2118,31 @@ impl Runtime {
                 st.body = Some(body);
             }
         }
-        // Wire edges. Each edge must be counted *before* it becomes
-        // visible in the predecessor's successor list: the predecessor
-        // may settle and decrement the instant the lock drops.
+        // Wire edges. Every edge is counted — in one add — *before* the
+        // first becomes visible in a predecessor's successor list: a
+        // predecessor may settle and decrement the instant its lock
+        // drops. Stale edges are returned with the guard, below.
+        if !preds.is_empty() {
+            slot.pending.fetch_add(preds.len() as u32, Ordering::AcqRel);
+        }
         let mut live_preds = 0u32;
-        for p in &preds {
+        let mut raised = 0u64;
+        for p in preds {
             let pslot = shared.slab.slot(p.slot);
-            slot.pending.fetch_add(1, Ordering::AcqRel);
-            let mut pst = pslot.state.lock();
-            if pslot.gen.load(Ordering::Acquire) == p.gen && !pst.completed {
+            // Generations only move forward, so one that has moved on
+            // says "settled, owes us no release" without the lock.
+            if pslot.gen.load(Ordering::Acquire) != p.gen {
+                continue;
+            }
+            if let Some(mut pst) = pslot.lock_live(p.gen) {
                 pst.succs.push(slot_idx);
                 pst.bl = pst.bl.max(pst.cost.saturating_add(bl));
-                job.raise_max_bl(pst.bl);
+                raised = raised.max(pst.bl);
                 live_preds += 1;
-            } else {
-                // Generation moved on or `completed` set: that
-                // predecessor already settled and owes us no release.
-                drop(pst);
-                slot.pending.fetch_sub(1, Ordering::AcqRel);
             }
         }
+        job.raise_max_bl(raised);
+        let stale = preds.len() as u32 - live_preds;
         if let Some(t) = &shared.tracer {
             // arg = predecessor count << 1 | ready-at-spawn (ready tasks
             // get no separate Ready event — spawn implies it).
@@ -2213,10 +2158,10 @@ impl Runtime {
         if live_preds == 0 {
             shared.stats.ready_at_spawn.add(1);
         }
-        // Drop the submission guard; with no live predecessor left —
-        // none registered, or every one beat us to completion — the
-        // release falls to us.
-        if ready.is_none() && slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        // Drop the submission guard and the stale edges with it; with
+        // no live predecessor left — every one beat us to completion —
+        // the release falls to us.
+        if ready.is_none() && slot.pending.fetch_sub(1 + stale, Ordering::AcqRel) == 1 + stale {
             let mut st = slot.state.lock();
             let body = st
                 .body
@@ -3342,6 +3287,30 @@ mod tests {
         assert!(rt.spawn_many(Vec::new()).is_empty());
         rt.taskwait();
         assert_eq!(rt.stats().spawned, 0);
+    }
+
+    #[test]
+    fn wide_batch_scratch_is_dropped_by_the_next_single_spawn() {
+        let rt = rt(1);
+        let data = rt.register("x", 0u64);
+        let kept = || {
+            let scratch = PRED_SCRATCH.take();
+            let n = scratch.len();
+            PRED_SCRATCH.set(scratch);
+            n
+        };
+        // An access-free batch never checks the scratch out.
+        rt.spawn_many((0..8).map(|_| BatchTask::new("e").body(|| {})).collect());
+        assert_eq!(kept(), 0);
+        let wide = |n| (0..n).map(|_| BatchTask::new("r").reads(&data).body(|| {}));
+        rt.spawn_many(wide(512).collect());
+        assert_eq!(kept(), 512);
+        rt.spawn_many(wide(16).collect());
+        assert_eq!(kept(), 16, "a narrower batch keeps only its own");
+        rt.task("w").writes(&data).body(|| {}).spawn();
+        assert_eq!(kept(), 1, "a single spawn keeps one");
+        rt.taskwait();
+        assert_eq!(rt.stats().edges, 16 + 512);
     }
 
     #[test]

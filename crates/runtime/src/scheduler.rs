@@ -607,7 +607,8 @@ impl ReadyQueues {
                                 self.balance_miss[who % MAX_TRACKED_VICTIMS]
                                     .store(0, Ordering::Relaxed);
                             }
-                            self.trace(TraceEventKind::StealOk, t.id, t.slot, t.gen, victim as u64);
+                            let arg = (1 + extras) << 16 | victim as u64;
+                            self.trace(TraceEventKind::StealOk, t.id, t.slot, t.gen, arg);
                             return Some(t);
                         }
                         Steal::Retry => continue,

@@ -309,7 +309,8 @@ impl SlotState {
 pub struct TaskSlot {
     pub gen: AtomicU64,
     /// Unfinished predecessors + 1 submission guard (held by the
-    /// spawning thread until wiring is complete).
+    /// spawning thread until wiring is complete; until then the count
+    /// also carries the edges that turn out stale).
     pub pending: AtomicU32,
     /// Intrusive link of the owner's remote-free Treiber stack; only
     /// meaningful while the slot sits on a sideband.

@@ -55,7 +55,9 @@ pub enum TraceEventKind {
     EnqueueOverflow,
     /// Ready task pushed onto a global (fifo/lifo/heap policy) queue.
     EnqueueGlobal,
-    /// A steal attempt succeeded. `arg` = victim worker.
+    /// A steal attempt succeeded. `arg` = tasks moved << 16 | victim
+    /// worker: a steal-half is one event however many tasks it takes,
+    /// while the `steals_ok` counter counts the tasks.
     StealOk,
     /// A full steal sweep found nothing. `arg` = number of workers swept.
     StealEmpty,

@@ -1,6 +1,7 @@
 //! Heap-allocation budget of the task envelope: what one access-free,
 //! literal-labelled task costs the allocator from `spawn` to settled,
-//! and what one link of a dependency chain costs on top.
+//! and what one link of a dependency chain, or one task of a CG-shaped
+//! phase, costs on top.
 //!
 //! The only allocation such a task needs is the box around its body.
 //! Everything else — label, slot state, the run path's instrumentation —
@@ -14,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use raa_runtime::{BatchTask, JobSpec, Runtime, RuntimeConfig};
+use raa_runtime::{AccessMode, BatchTask, JobSpec, Runtime, RuntimeConfig};
 
 struct Counting;
 
@@ -164,17 +165,45 @@ fn an_empty_task_allocates_its_body_box_and_little_else() {
     });
     // Measured: 6.017 batched and 8.000 single while spawn walked the
     // TDG backwards (its stack) and the tracker rebuilt a region's
-    // segment list on every access; 4.018 and 6.000 without either.
-    // What is left: the body box, the access list, the predecessor list,
-    // the settling predecessor's released list — and, single only, the
-    // tracker's shard-id and shard-guard lists.
+    // segment list on every access; 4.018 and 6.000 while every task got
+    // a fresh predecessor list, every completion a fresh released list
+    // and every single `submit` a shard-id and a shard-guard list; 2.007
+    // and 2.000 now that the spawning thread and the worker loop own
+    // those buffers. What is left: the body box and the access list.
     assert!(
-        chain_batched <= 4.1,
-        "spawn_many chain: {chain_batched:.2} allocations per link, budget 4 (+ per-batch lists)"
+        chain_batched <= 3.1,
+        "spawn_many chain: {chain_batched:.2} allocations per link, budget 3"
     );
     assert!(
-        chain_single <= 6.1,
-        "task().updates().spawn() chain: {chain_single:.2} allocations per link, budget 6"
+        chain_single <= 3.1,
+        "task().updates().spawn() chain: {chain_single:.2} allocations per link, budget 3"
     );
     eprintln!("allocations per chain link: batched {chain_batched:.3}, single {chain_single:.3}");
+
+    // CG-shaped: 16 block writers, then one task reading the whole
+    // datum (16 predecessors, and one more entry on the reader list of
+    // the tail no block covers), round after round. Measured: 5.47 per
+    // task with the per-task lists, 2.12 without — the body box, the
+    // access list, and a reader's successor list growing from 4 to 16
+    // entries twice per round of 17, in a slot that last held a writer.
+    let v = rt.register("v", 0u64);
+    let cg_shaped = gated(&|hits| {
+        for i in 0..TASKS {
+            let task = match i % 17 {
+                16 => rt.task("dot").reads(&v),
+                block => rt
+                    .task("axpy")
+                    .region(v.sub(block * 64, (block + 1) * 64), AccessMode::Write),
+            };
+            task.body(move || {
+                hits.fetch_add(1, Ordering::Relaxed);
+            })
+            .spawn();
+        }
+    });
+    assert!(
+        cg_shaped <= 2.5,
+        "cg-shaped phases: {cg_shaped:.2} allocations per task, budget 2.5"
+    );
+    eprintln!("allocations per cg-shaped task: {cg_shaped:.3}");
 }

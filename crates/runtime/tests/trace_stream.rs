@@ -70,8 +70,15 @@ proptest! {
         prop_assert_eq!(trace.count(TraceEventKind::Fault), 0);
         prop_assert_eq!(stats.spawned, n);
         prop_assert_eq!(stats.completed, n);
+        // One event per steal, carrying how many tasks it moved (a
+        // steal-half takes several); the counter counts the tasks.
+        let stolen: u64 = trace
+            .events()
+            .filter(|e| e.kind == TraceEventKind::StealOk)
+            .map(|e| u64::from(e.arg >> 16))
+            .sum();
         prop_assert_eq!(
-            trace.count(TraceEventKind::StealOk), stats.steals_ok,
+            stolen, stats.steals_ok,
             "ring steal events match the scheduler counter when nothing drops"
         );
 
