@@ -282,6 +282,64 @@ impl Ord for FinishEvent {
     }
 }
 
+/// The idle cores of a run, in three views kept in step.
+///
+/// `order` is the list the simulator has always kept — a finished core is
+/// pushed at the back, a picked one leaves by `swap_remove` — and its
+/// order is part of the schedule: `LocalityAware` and the two
+/// `Criticality*` policies scan it and break ties by position, so it
+/// must evolve exactly as it always did. `pos[core]` is the core's index
+/// in `order` (meaningless while the core is busy) and `bits` has bit
+/// `core` set iff the core is in `order`, so the agnostic policies'
+/// "lowest idle core", over the whole machine or over one cluster's
+/// span, is a find-first-set followed by `pos[core]` instead of a scan
+/// of `order`.
+struct IdleCores {
+    order: Vec<usize>,
+    pos: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl IdleCores {
+    fn all(ncores: usize) -> Self {
+        let mut bits = vec![0u64; ncores.div_ceil(64)];
+        for core in 0..ncores {
+            bits[core / 64] |= 1 << (core % 64);
+        }
+        IdleCores {
+            order: (0..ncores).collect(),
+            pos: (0..ncores).collect(),
+            bits,
+        }
+    }
+
+    fn push(&mut self, core: usize) {
+        self.pos[core] = self.order.len();
+        self.order.push(core);
+        self.bits[core / 64] |= 1 << (core % 64);
+    }
+
+    /// Remove and return the core at index `pick` of `order`.
+    fn swap_remove(&mut self, pick: usize) -> usize {
+        let core = self.order.swap_remove(pick);
+        if let Some(&moved) = self.order.get(pick) {
+            self.pos[moved] = pick;
+        }
+        self.bits[core / 64] &= !(1 << (core % 64));
+        core
+    }
+
+    /// Index in `order` of the lowest idle core in `[lo, hi)`.
+    fn lowest_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        (lo / 64..hi.div_ceil(64)).find_map(|w| {
+            let above = !0u64 << lo.saturating_sub(w * 64);
+            let below = !0u64 >> (64 - (hi - w * 64).min(64));
+            let word = self.bits[w] & above & below;
+            (word != 0).then(|| self.pos[w * 64 + word.trailing_zeros() as usize])
+        })
+    }
+}
+
 impl<'g> ScheduleSimulator<'g> {
     pub fn new(graph: &'g TaskGraph, cores: CorePool, policy: SimPolicy) -> Self {
         ScheduleSimulator {
@@ -421,7 +479,9 @@ impl<'g> ScheduleSimulator<'g> {
         let mut freq = self.cores.freqs.clone();
         let mut core_free_at = vec![0.0f64; ncores];
         let mut core_busy = vec![0.0f64; ncores];
-        let mut idle: Vec<usize> = (0..ncores).collect();
+        let mut idle = IdleCores::all(ncores);
+        // Per-cluster predecessor weights of the task being placed.
+        let mut weights: Vec<u64> = Vec::new();
         let mut events: BinaryHeap<Reverse<FinishEvent>> = BinaryHeap::new();
         let mut now = 0.0f64;
         let mut remaining = n;
@@ -442,7 +502,7 @@ impl<'g> ScheduleSimulator<'g> {
 
         while remaining > 0 {
             // Assign as many ready tasks as there are idle cores.
-            while !ready.is_empty() && !idle.is_empty() {
+            while !ready.is_empty() && !idle.order.is_empty() {
                 let entry = ready.pop().expect("checked non-empty");
                 let tid = entry.id;
                 let node = self.graph.node(tid);
@@ -465,42 +525,30 @@ impl<'g> ScheduleSimulator<'g> {
                     // preference) → lowest idle core anywhere; the former
                     // is a migration and pays the schedule's cost.
                     let topo = cs.topology();
-                    let mut weights = vec![0u64; topo.clusters];
+                    weights.clear();
+                    weights.resize(topo.clusters, 0);
                     for p in &node.preds {
                         let pc = placements[p.index()];
                         if pc != usize::MAX {
                             weights[topo.cluster_of(pc)] += self.graph.node(*p).meta.cost;
                         }
                     }
-                    let global = idle
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &c)| c)
-                        .map(|(i, _)| i)
-                        .expect("idle non-empty");
+                    let anywhere = || idle.lowest_in(0, ncores).expect("idle non-empty");
                     match cs.preferred_cluster(&weights) {
                         Some(want) => {
                             let (lo, hi) = topo.cluster_span(want, ncores);
-                            match idle
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &c)| c >= lo && c < hi)
-                                .min_by_key(|&(_, &c)| c)
-                                .map(|(i, _)| i)
-                            {
-                                Some(i) => i,
-                                None => {
-                                    migrated = true;
-                                    global
-                                }
-                            }
+                            idle.lowest_in(lo, hi).unwrap_or_else(|| {
+                                migrated = true;
+                                anywhere()
+                            })
                         }
-                        None => global,
+                        None => anywhere(),
                     }
                 } else if self.policy == SimPolicy::LocalityAware {
                     // Affinity: cost-weighted predecessors resident per
                     // idle core.
-                    idle.iter()
+                    idle.order
+                        .iter()
                         .enumerate()
                         .max_by_key(|&(_, &c)| {
                             node.preds
@@ -512,19 +560,17 @@ impl<'g> ScheduleSimulator<'g> {
                         .map(|(i, _)| i)
                         .expect("idle non-empty")
                 } else if !aware {
-                    idle.iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &c)| c)
-                        .map(|(i, _)| i)
-                        .expect("idle non-empty")
+                    idle.lowest_in(0, ncores).expect("idle non-empty")
                 } else if is_crit {
-                    idle.iter()
+                    idle.order
+                        .iter()
                         .enumerate()
                         .max_by(|a, b| freq[*a.1].total_cmp(&freq[*b.1]))
                         .map(|(i, _)| i)
                         .expect("idle non-empty")
                 } else {
-                    idle.iter()
+                    idle.order
+                        .iter()
                         .enumerate()
                         .min_by(|a, b| freq[*a.1].total_cmp(&freq[*b.1]))
                         .map(|(i, _)| i)
@@ -1100,5 +1146,147 @@ mod tests {
             hier.probe_overhead,
             flat.probe_overhead
         );
+    }
+    /// A seeded layered DAG drawn from `mix64` rather than `rand` (the
+    /// offline stub and the published crate draw different sequences), so
+    /// the pins below hold under both.
+    fn pinned_graph() -> TaskGraph {
+        let (layers, width) = (6usize, 300usize);
+        let mut z = 0x5EED_u64;
+        let mut draw = move || {
+            z = mix64(z);
+            z
+        };
+        let mut g = TaskGraph::new();
+        let mut prev: Vec<TaskId> = Vec::new();
+        for l in 0..layers {
+            let mut cur = Vec::with_capacity(width);
+            for w in 0..width {
+                let mut m = crate::task::TaskMeta::new(format!("l{l}w{w}"));
+                m.cost = 5 + draw() % 90;
+                let mut preds: Vec<TaskId> = Vec::new();
+                if !prev.is_empty() {
+                    for _ in 0..1 + draw() % 3 {
+                        let p = prev[(draw() % width as u64) as usize];
+                        if !preds.contains(&p) {
+                            preds.push(p);
+                        }
+                    }
+                }
+                cur.push(g.add_task(m, &preds));
+            }
+            prev = cur;
+        }
+        g
+    }
+
+    /// `[makespan bits, energy bits, migrations, FNV-1a of placements]`
+    /// of every policy × cluster schedule × core count, recorded from the
+    /// commit before the idle-core bitmap (linear `min_by_key` picks).
+    /// Rows: cores 8 then 200; within a core count the six policies in
+    /// `pinned_policies` order; within a policy no schedule, flat,
+    /// hierarchical.
+    #[rustfmt::skip]
+    const PINNED_SCHEDULES: [[u64; 4]; 36] = [
+        [0x40bf450000000000, 0x410c8fceba06d3a5, 0, 0x5d1ec6d54142db2b],
+        [0x40c2779555555559, 0x410c2efacda740e7, 0, 0xe3c20d01ce70123e],
+        [0x40c19f4000000002, 0x410c5156b69d036f, 734, 0xba6f304e8da3b02a],
+        [0x40bf0a4000000000, 0x410c92edc6d3a072, 0, 0x8c332c6165399930],
+        [0x40c2668000000000, 0x410c2b0a33333330, 0, 0xe03bc30c68f51bb6],
+        [0x40c18a2000000000, 0x410c4c0bcda740e0, 766, 0xadbd95d4533e3ccb],
+        [0x40cb152000000000, 0x40f0cefa88888881, 0, 0x4d6139714f2258b8],
+        [0x40cdb94aaaaaaaab, 0x40f134675555554e, 0, 0x2d1fe5b771e26de7],
+        [0x40ccd7eaaaaaaaab, 0x40f11298eeeeeee8, 0, 0x2e998e9298cd98d7],
+        [0x40bf090000000005, 0x410c935192c5f931, 0, 0xf2f512b117a067e0],
+        [0x40c263e000000000, 0x410c3430e8f5c28c, 0, 0xd57390d6fd5dfc75],
+        [0x40c16f2000000000, 0x410c563ba58bf25c, 0, 0x2dc296ab122c28cd],
+        [0x40bf7e3555555557, 0x410c887340000003, 0, 0xc671f480fe22b02a],
+        [0x40c31daaaaaaaaab, 0x410c33f80b17e4bb, 0, 0xae120f8f2113b73b],
+        [0x40c2a7eaaaaaaaab, 0x410c0f1b0f5c28f9, 489, 0xbc627e17206b86b0],
+        [0x40bf090000000005, 0x410c933f62fc9635, 0, 0xb0fcddbbc14d7676],
+        [0x40c2668000000000, 0x410c2b0a33333330, 0, 0xe03bc30c68f51bb6],
+        [0x40c18a2000000000, 0x410c4c0bcda740e0, 766, 0xadbd95d4533e3ccb],
+        [0x4080b15555555555, 0x410c9852eaaaaaa2, 0, 0x22867a91884c9969],
+        [0x4084a3822cbd80c6, 0x410c1d25abe8dfc5, 0, 0x2934e3bcffe5e033],
+        [0x408262e7b471b3a9, 0x410bfaf2e9b4af36, 756, 0x3d8c05998d8fbe5b],
+        [0x4083e20000000000, 0x410cd98ea8f5c286, 0, 0x0da97387d2bad082],
+        [0x4086bfcf68e36753, 0x410c0dd4869c91a9, 0, 0x15020060727deb96],
+        [0x4085ffcf68e36753, 0x410c39903c5f2102, 612, 0x0e88614ba74ca904],
+        [0x4082e60000000000, 0x40f12cea88888881, 0, 0x4652adfc5df3c134],
+        [0x4086fbcf68e36754, 0x40f22207251dd4b9, 0, 0x2f1a6b8b5f7b85bf],
+        [0x40861c1ca5094de1, 0x40f1ed993f36b6c1, 0, 0x9799150a422f38ce],
+        [0x4082e60000000000, 0x4107590cd70a3d7b, 0, 0xc29466ba91279801],
+        [0x4085d9822cbd80c5, 0x41092f6b3f894cf6, 0, 0x2016b16b54b3c90c],
+        [0x408525822cbd80c5, 0x4108ff85c13e3520, 0, 0x411ec3b72b919f32],
+        [0x40809daaaaaaaaaa, 0x410c6793a4b17e4c, 0, 0x1f5773dda2983c2d],
+        [0x4085222cd7682b70, 0x410c287714dea253, 0, 0x3c82981b362161b0],
+        [0x4083977a138e11fe, 0x410c2f1734b10c83, 462, 0xcdb4d7ba38e91bb6],
+        [0x4082660000000000, 0x410b7fbae8f5c28d, 0, 0x6410419b7b303f90],
+        [0x4086bfcf68e36753, 0x410c0dd4869c91a9, 0, 0x15020060727deb96],
+        [0x4085ffcf68e36753, 0x410c39903c5f2102, 612, 0x0e88614ba74ca904],
+    ];
+
+    fn pinned_policies() -> [SimPolicy; 6] {
+        [
+            SimPolicy::Fifo,
+            SimPolicy::BottomLevel,
+            SimPolicy::CriticalityDvfs {
+                f_high: 1.5,
+                f_low: 0.8,
+                arbiter: DvfsArbiter::Rsu { latency: 0.5 },
+            },
+            SimPolicy::CriticalityPlacement,
+            SimPolicy::RandomOrder { seed: 7 },
+            SimPolicy::LocalityAware,
+        ]
+    }
+
+    #[test]
+    fn every_policy_and_schedule_is_pinned_at_8_and_200_cores() {
+        use crate::topology::{FlatSchedule, HierarchicalSchedule, Topology};
+        let g = pinned_graph();
+        let costs = StealCosts {
+            probe_cost: 2.0,
+            migrate_cost: 0.5,
+        };
+        let mut rows = Vec::new();
+        // 200 cores: four 50-core clusters, none aligned to a bitmap word.
+        for (cores, topo) in [(8, Topology::new(2, 4)), (200, Topology::new(4, 50))] {
+            // Heterogeneous, so the criticality policies' picks differ.
+            let pool =
+                CorePool::heterogeneous((0..cores).map(|c| 0.8 + 0.4 * (c % 4) as f64).collect());
+            let inter_penalty = 4.0;
+            let schedules: [Option<Arc<dyn ClusterSchedule>>; 3] = [
+                None,
+                Some(Arc::new(FlatSchedule {
+                    topo,
+                    inter_penalty,
+                })),
+                Some(Arc::new(HierarchicalSchedule {
+                    topo,
+                    inter_penalty,
+                })),
+            ];
+            for policy in pinned_policies() {
+                for schedule in &schedules {
+                    let mut sim =
+                        ScheduleSimulator::new(&g, pool.clone(), policy).with_comm_cost(6.0);
+                    if let Some(schedule) = schedule {
+                        sim = sim.with_cluster_schedule(schedule.clone(), costs);
+                    }
+                    let r = sim.run();
+                    let placed = r.placements.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &c| {
+                        (h ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    });
+                    rows.push([
+                        r.makespan.to_bits(),
+                        r.energy.to_bits(),
+                        r.migrations,
+                        placed,
+                    ]);
+                }
+            }
+        }
+        assert_eq!(rows, PINNED_SCHEDULES, "a simulated schedule moved");
     }
 }

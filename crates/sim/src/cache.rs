@@ -124,6 +124,27 @@ impl Cache {
         AccessResult::Miss { evicted }
     }
 
+    /// The hit half of [`Cache::access`] in one pass over the set: when
+    /// `line` is present, count the hit, refresh its LRU stamp, apply
+    /// `store`, and return the `(dirty, exclusive)` state it had before —
+    /// the MESI write-permission check. A miss changes nothing (not even
+    /// the clock), so the caller can do its miss handling and then fill
+    /// through `access`.
+    pub fn touch(&mut self, line: u64, store: bool) -> Option<(bool, bool)> {
+        let set = self.set_of(line);
+        let clock = self.clock + 1;
+        let w = self
+            .set_slice(set)
+            .iter_mut()
+            .find(|w| w.valid && w.line == line)?;
+        let before = (w.dirty, w.excl);
+        w.lru = clock;
+        w.dirty |= store;
+        self.clock = clock;
+        self.hits += 1;
+        Some(before)
+    }
+
     /// Probe without touching LRU or stats: `Some(dirty)` when present.
     pub fn probe(&self, line: u64) -> Option<bool> {
         let set = self.set_of(line);
@@ -291,6 +312,26 @@ mod tests {
         c.clean(9);
         assert_eq!(c.probe_state(9), Some((false, false)));
         assert_eq!(c.probe_state(77), None);
+    }
+
+    #[test]
+    fn touch_is_probe_state_then_access_on_a_hit_and_nothing_on_a_miss() {
+        let mut a = Cache::new(8, 2);
+        let mut b = a.clone();
+        for (line, store) in [(3, false), (5, true), (3, true), (9, false), (3, false)] {
+            let before = b.probe_state(line);
+            assert_eq!(a.touch(line, store), before);
+            if before.is_none() {
+                // A miss left `a` untouched: the fill happens here.
+                a.access(line, store);
+            }
+            b.access(line, store);
+            assert_eq!((a.hits, a.misses, a.clock), (b.hits, b.misses, b.clock));
+            assert_eq!(a.probe_state(line), b.probe_state(line));
+        }
+        // Same LRU order: both evict the same victim from line 3's set.
+        let victims = |c: &mut Cache| (16..32).map(|l| c.access(l, false)).collect::<Vec<_>>();
+        assert_eq!(victims(&mut a), victims(&mut b));
     }
 
     #[test]

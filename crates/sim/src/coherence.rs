@@ -9,7 +9,18 @@
 //! messages and latencies based on the actions this module reports
 //! (owner downgrades, invalidations).
 
-use std::collections::HashMap;
+use crate::linemap::LineMap;
+
+/// The cores named by a sharer/holder mask, lowest first.
+pub(crate) fn cores_in(mut mask: u128) -> impl Iterator<Item = u16> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let core = mask.trailing_zeros() as u16;
+            mask &= mask - 1;
+            core
+        })
+    })
+}
 
 /// Directory state of one line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +53,7 @@ pub struct WriteActions {
 /// The coherence directory.
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    lines: HashMap<u64, LineState>,
+    lines: LineMap<LineState>,
     pub read_misses: u64,
     pub write_misses: u64,
     pub invalidations: u64,
@@ -127,12 +138,7 @@ impl Directory {
                 }
             }
             LineState::Shared(mask) => {
-                let mut inval = Vec::new();
-                for c in 0..128u16 {
-                    if mask & (1u128 << c) != 0 && c != who {
-                        inval.push(c);
-                    }
-                }
+                let inval: Vec<u16> = cores_in(mask & !(1u128 << who)).collect();
                 self.invalidations += inval.len() as u64;
                 WriteActions {
                     invalidate: inval,
@@ -192,7 +198,7 @@ impl Directory {
                 vec![holder]
             }
             Some(LineState::Shared(mask)) => {
-                let holders: Vec<u16> = (0..128u16).filter(|c| mask & (1u128 << c) != 0).collect();
+                let holders: Vec<u16> = cores_in(mask).collect();
                 self.invalidations += holders.len() as u64;
                 holders
             }

@@ -12,7 +12,7 @@
 //!   resident in which scratchpad, so the access is served by the memory
 //!   that holds the valid copy.
 
-use std::collections::HashMap;
+use crate::linemap::LineMap;
 
 /// Filter + SDIR. Residency is tracked in `tile_bytes`-aligned units
 /// (64-byte lines for the packed-DMA software cache), matching the
@@ -23,7 +23,7 @@ pub struct SpmDirectory {
     mapped: Vec<(u64, u64)>,
     tile_bytes: u64,
     /// tile base → owning core.
-    resident: HashMap<u64, u16>,
+    resident: LineMap<u16>,
     pub filter_lookups: u64,
     pub sdir_hits: u64,
     pub sdir_misses: u64,
@@ -39,7 +39,7 @@ impl SpmDirectory {
         SpmDirectory {
             mapped: ranges,
             tile_bytes,
-            resident: HashMap::new(),
+            resident: LineMap::default(),
             filter_lookups: 0,
             sdir_hits: 0,
             sdir_misses: 0,

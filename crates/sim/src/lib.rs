@@ -18,6 +18,7 @@
 //!   serve [`raa_workloads::RefClass::RandomUnknown`] accesses from
 //!   whichever memory holds the valid copy.
 //! * [`machine::Machine`] — the per-core trace executor tying it together.
+//! * [`linemap::LineHasher`] — the hasher of the line-keyed maps above.
 //!
 //! The simulator is cycle-approximate: cores are in-order, contention is
 //! not queued, but every latency, energy and traffic constant is relative
@@ -48,6 +49,7 @@ pub mod dram;
 pub mod energy;
 pub mod fault;
 pub mod hybrid;
+pub mod linemap;
 pub mod machine;
 pub mod noc;
 pub mod spm;

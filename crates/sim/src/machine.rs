@@ -14,18 +14,134 @@
 //!   directory and are served by whichever memory holds the valid copy.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 use raa_workloads::{Kernel, MemRef, RefClass, TraceEvent};
 
 use crate::cache::{AccessResult, Cache};
-use crate::coherence::Directory;
+use crate::coherence::{cores_in, Directory, LineState};
 use crate::config::{HierarchyMode, MachineConfig};
 use crate::dram::Dram;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::hybrid::SpmDirectory;
+use crate::linemap::{LineMap, LineSet};
 use crate::noc::Mesh;
 use crate::spm::{SpmAccess, SpmState};
+
+/// Wheel slots of the run loop's [`Calendar`]. Not a tuning knob: every
+/// size (a power of two, at least 64) pops in the same order, the size
+/// only decides how many events take the far heap. 1,024 covers every
+/// latency of the memory system; only long `Compute` phases go far.
+const WHEEL_SLOTS: usize = 1024;
+
+/// The run loop's event queue: the pending `(time, core)` of every core
+/// that is neither drained nor waiting at a barrier, popped smallest
+/// first — a min-heap's order, at a bit scan per operation.
+///
+/// Events less than `slots.len()` cycles ahead of the cursor sit in a
+/// wheel: slot `t % len` holds the mask of cores due at `t`, `occupied`
+/// has a bit per non-empty slot. The rest wait in `far` and move into
+/// the wheel as the cursor gets within its span of them.
+///
+/// It pops in exactly the order of a `BinaryHeap<Reverse<(u64, usize)>>`
+/// given the run loop's two guarantees. (1) A core has at most one
+/// pending event, so a mask bit per core loses nothing. (2) While the
+/// calendar is non-empty no push is earlier than the last pop — a
+/// reference takes `lat.max(1)`, `Compute(0)` re-enters the slot under
+/// the cursor — so nothing lands behind the cursor and every wheel time
+/// lies in `[now, now + len)`, one per slot. A barrier (or the drain of
+/// the last running core) releases its waiters into an *empty* calendar,
+/// possibly at an earlier time than the last pop; a push into an empty
+/// calendar moves the cursor. Within a slot the lowest set bit is the
+/// smallest core: the heap's tie-break.
+struct Calendar {
+    slots: Vec<u128>,
+    occupied: Vec<u64>,
+    far: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Time of the last pop: the wheel covers `[now, now + slots.len())`.
+    now: u64,
+    len: usize,
+}
+
+impl Calendar {
+    fn new(slots: usize) -> Self {
+        assert!(slots.is_power_of_two() && slots >= 64);
+        Calendar {
+            slots: vec![0; slots],
+            occupied: vec![0; slots / 64],
+            far: BinaryHeap::new(),
+            now: 0,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, time: u64, core: usize) {
+        if self.len == 0 {
+            self.now = time;
+        }
+        debug_assert!(time >= self.now, "push behind the cursor");
+        self.len += 1;
+        if time - self.now < self.slots.len() as u64 {
+            self.insert(time, core);
+        } else {
+            self.far.push(Reverse((time, core)));
+        }
+    }
+
+    fn insert(&mut self, time: u64, core: usize) {
+        let slot = time as usize & (self.slots.len() - 1);
+        debug_assert_eq!(self.slots[slot] & (1u128 << core), 0, "one event per core");
+        self.slots[slot] |= 1u128 << core;
+        self.occupied[slot / 64] |= 1u64 << (slot % 64);
+    }
+
+    /// Time of the earliest wheel event: the first occupied slot at or
+    /// after the cursor's, wrapping round.
+    fn next_in_wheel(&self) -> Option<u64> {
+        let mask = self.slots.len() - 1;
+        let start = self.now as usize & mask;
+        let (word, bit) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        let from_cursor = self.occupied[word] & (!0u64 << bit);
+        let slot = if from_cursor != 0 {
+            word * 64 + from_cursor.trailing_zeros() as usize
+        } else {
+            // The following words, then the cursor word's low bits.
+            let w = (1..=words)
+                .map(|i| (word + i) % words)
+                .find(|&w| self.occupied[w] != 0)?;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        Some(self.now + (slot.wrapping_sub(start) & mask) as u64)
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let far = self.far.peek().map(|&Reverse((t, _))| t);
+        self.now = (self.next_in_wheel().into_iter().chain(far))
+            .min()
+            .expect("len counts the wheel and the far heap");
+        // Far events now within the wheel's span join it — in particular
+        // those due at `now`, which tie-break against the wheel's.
+        while let Some(&Reverse((t, core))) = self.far.peek() {
+            if t - self.now >= self.slots.len() as u64 {
+                break;
+            }
+            self.far.pop();
+            self.insert(t, core);
+        }
+        let slot = self.now as usize & (self.slots.len() - 1);
+        let core = self.slots[slot].trailing_zeros() as usize;
+        self.slots[slot] &= self.slots[slot] - 1;
+        if self.slots[slot] == 0 {
+            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+        }
+        Some((self.now, core))
+    }
+}
 
 /// One tracked prefetch stream.
 #[derive(Clone, Copy, Debug)]
@@ -139,7 +255,7 @@ pub struct Machine {
     /// Lines from SPM-mapped ranges that currently sit in some L1 via the
     /// unknown-alias cache path (must be purged when a DMA fill claims
     /// their line).
-    cached_mapped_lines: HashSet<u64>,
+    cached_mapped_lines: LineSet,
     /// Stride-prefetcher state: a small per-core stream table.
     pref_streams: Vec<Vec<StreamEntry>>,
     /// DMA fill / writeback counters per core, for setup amortisation
@@ -155,7 +271,7 @@ pub struct Machine {
     now: u64,
     /// Which cores' SPMs hold each line (single-writer coherence for
     /// the software cache: a strided store invalidates other holders).
-    spm_holders: HashMap<u64, u128>,
+    spm_holders: LineMap<u128>,
     pub spm_invalidations: u64,
     pub prefetch_hits: u64,
     mem_refs: u64,
@@ -166,6 +282,12 @@ impl Machine {
     /// Build a machine; `spm_ranges` are the compiler's SPM-mapped
     /// address ranges (ignored in cache-only mode).
     pub fn new(cfg: MachineConfig, spm_ranges: Vec<(u64, u64)>) -> Self {
+        assert!(
+            cfg.cores <= 128,
+            "{} cores: directory sharer masks, SPM holder masks and the run \
+             loop's calendar slots are u128, one bit per core",
+            cfg.cores
+        );
         let ranges = match cfg.mode {
             HierarchyMode::CacheOnly => Vec::new(),
             HierarchyMode::Hybrid => spm_ranges,
@@ -192,14 +314,14 @@ impl Machine {
             mesh,
             dram,
             energy: EnergyBreakdown::default(),
-            cached_mapped_lines: HashSet::new(),
+            cached_mapped_lines: LineSet::default(),
             pref_streams: vec![Vec::new(); cfg_cores],
             dma_fills: vec![0; cfg_cores],
             dma_wbs: vec![0; cfg_cores],
             bank_busy_until: vec![0; cfg_cores],
             bank_stall: 0,
             now: 0,
-            spm_holders: HashMap::new(),
+            spm_holders: LineMap::default(),
             spm_invalidations: 0,
             prefetch_hits: 0,
             mem_refs: 0,
@@ -315,9 +437,11 @@ impl Machine {
         let mut at_barrier: Vec<bool> = vec![false; n];
         let mut live = n;
         let mut waiting = 0usize;
-        // Min-heap on (time, core): approximate global ordering.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..n).map(|c| Reverse((0u64, c))).collect();
+        // Smallest (time, core) first: approximate global ordering.
+        let mut due = Calendar::new(WHEEL_SLOTS);
+        for c in 0..n {
+            due.push(0, c);
+        }
         loop {
             // Release a completed barrier episode.
             if live > 0 && waiting == live {
@@ -332,12 +456,12 @@ impl Machine {
                     if at_barrier[c] {
                         at_barrier[c] = false;
                         times[c] = release;
-                        heap.push(Reverse((release, c)));
+                        due.push(release, c);
                     }
                 }
                 waiting = 0;
             }
-            let Some(Reverse((t, c))) = heap.pop() else {
+            let Some((t, c)) = due.pop() else {
                 break;
             };
             match streams[c].next() {
@@ -351,13 +475,13 @@ impl Machine {
                 }
                 Some(TraceEvent::Compute(cy)) => {
                     times[c] = t + cy as u64;
-                    heap.push(Reverse((times[c], c)));
+                    due.push(times[c], c);
                 }
                 Some(TraceEvent::Mem(m)) => {
                     self.now = t;
                     let lat = self.mem_access(c, &m);
                     times[c] = t + lat.max(1);
-                    heap.push(Reverse((times[c], c)));
+                    due.push(times[c], c);
                 }
             }
         }
@@ -390,8 +514,7 @@ impl Machine {
         self.energy.l1 += self.em.l1_access;
         // Hit path. A store to a clean Shared line needs the S→M upgrade
         // round trip; an Exclusive line upgrades silently (MESI's point).
-        if let Some((was_dirty, excl)) = self.l1[core].probe_state(line) {
-            self.l1[core].access(line, store);
+        if let Some((was_dirty, excl)) = self.l1[core].touch(line, store) {
             let mut lat = self.cfg.l1_hit_lat;
             if store && !was_dirty {
                 if excl {
@@ -463,11 +586,9 @@ impl Machine {
             }
             // An E→S transition on a remote holder costs nothing here but
             // must clear the holder's silent-upgrade permission.
-            if let crate::coherence::LineState::Shared(mask) = self.dir.state(line) {
-                for o in 0..self.cfg.cores as u16 {
-                    if o != core as u16 && mask & (1u128 << o) != 0 {
-                        self.l1[o as usize].clean(line);
-                    }
+            if let LineState::Shared(mask) = self.dir.state(line) {
+                for o in cores_in(mask & !(1u128 << core)) {
+                    self.l1[o as usize].clean(line);
                 }
             }
         }
@@ -527,7 +648,7 @@ impl Machine {
         // Exclusive grant: a read whose directory response says we are
         // the sole holder fills in E, enabling the silent upgrade later.
         if !store {
-            if let crate::coherence::LineState::Exclusive(holder) = self.dir.state(line) {
+            if let LineState::Exclusive(holder) = self.dir.state(line) {
                 if holder == core as u16 {
                     self.l1[core].set_exclusive(line);
                 }
@@ -609,13 +730,11 @@ impl Machine {
         if others == 0 {
             return;
         }
-        for o in 0..self.cfg.cores {
-            if others & (1u128 << o) != 0 {
-                self.spm[o].invalidate(line);
-                self.sdir.clear_resident(line << 6, o as u16);
-                self.mesh.send(core, o, self.cfg.ctrl_flits);
-                self.spm_invalidations += 1;
-            }
+        for o in cores_in(others) {
+            self.spm[o as usize].invalidate(line);
+            self.sdir.clear_resident(line << 6, o);
+            self.mesh.send(core, o as usize, self.cfg.ctrl_flits);
+            self.spm_invalidations += 1;
         }
         self.spm_holders.insert(line, 1u128 << core);
     }
@@ -1005,5 +1124,77 @@ mod tests {
         let rb = b.run_streams(vec![Box::new(synthetic::strided_sweep(4096, 200, 0)) as _]);
         assert!(rb.time_speedup_over(&ra) < 1.0);
         assert!(ra.time_speedup_over(&rb) > 1.0);
+    }
+    #[test]
+    #[should_panic(expected = "masks")]
+    fn more_cores_than_a_mask_has_bits_is_rejected() {
+        machine(129, HierarchyMode::CacheOnly, vec![]);
+    }
+
+    #[test]
+    fn a_drained_core_releases_the_barrier_at_the_waiters_arrival() {
+        use raa_workloads::trace::{MemRef, TraceEvent};
+        // Core 0 waits at a barrier from cycle ~100; core 1 computes to
+        // cycle 5,000 (through the far heap) and ends without ever
+        // arriving. The release puts core 0 back at its own arrival
+        // time, earlier than the last pop.
+        let load = |a| TraceEvent::Mem(MemRef::load(a, 8, RefClass::RandomNoAlias));
+        let mut m = machine(2, HierarchyMode::CacheOnly, vec![]);
+        let r = m.run_streams(vec![
+            Box::new(vec![load(4096), TraceEvent::Barrier, load(4096)].into_iter()),
+            Box::new(vec![TraceEvent::Compute(5000)].into_iter()),
+        ]);
+        let miss = r.per_core_cycles[0] - m.config().l1_hit_lat;
+        assert!(miss < 5000, "core 0 resumed at its arrival, not at 5,000");
+        assert_eq!(r.per_core_cycles[1], 5000);
+        assert_eq!((r.l1_misses, r.l1_hits), (1, 1));
+    }
+
+    proptest::proptest! {
+        /// Test (i): the calendar against the heap it replaced, under the
+        /// run loop's preconditions — one pending event per core, no push
+        /// behind the cursor unless the queue is empty. Deltas reach past
+        /// the wheel (far heap, wrap-around); a 64-slot wheel must pop
+        /// the same order as the 1,024-slot one.
+        #[test]
+        fn calendar_pops_in_heap_order(
+            cores in 1usize..=128,
+            ops in proptest::collection::vec((0u8..3, 0usize..128, 0u8..4, 0u64..=5000), 1..600),
+        ) {
+            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+            let mut wheels = [Calendar::new(WHEEL_SLOTS), Calendar::new(64)];
+            let mut pending = vec![false; cores];
+            // No push may be earlier than this: the last pop, or the
+            // first push into an empty queue.
+            let mut floor = 0u64;
+            for (kind, core, spread, delta) in ops {
+                let core = core % cores;
+                if kind > 0 && !pending[core] {
+                    let delta = delta % [3, 70, 1100, 5001][spread as usize];
+                    let time = if heap.is_empty() { delta } else { floor + delta };
+                    if heap.is_empty() {
+                        floor = time;
+                    }
+                    pending[core] = true;
+                    heap.push(Reverse((time, core)));
+                    wheels.iter_mut().for_each(|w| w.push(time, core));
+                } else {
+                    let want = heap.pop().map(|Reverse(e)| e);
+                    for w in &mut wheels {
+                        proptest::prop_assert_eq!(w.pop(), want);
+                    }
+                    if let Some((time, core)) = want {
+                        floor = time;
+                        pending[core] = false;
+                    }
+                }
+            }
+            while let Some(Reverse(want)) = heap.pop() {
+                for w in &mut wheels {
+                    proptest::prop_assert_eq!(w.pop(), Some(want));
+                }
+            }
+            proptest::prop_assert!(wheels.iter_mut().all(|w| w.pop().is_none()));
+        }
     }
 }

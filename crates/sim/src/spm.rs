@@ -8,7 +8,7 @@
 //! SPM capacity, and report fills/writebacks so the machine can charge
 //! the (amortised) DMA setup, bulk NoC traffic and energy.
 
-use std::collections::HashMap;
+use crate::linemap::LineMap;
 
 /// Result of an SPM reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,19 +21,48 @@ pub enum SpmAccess {
     Fill { evicted: Option<(u64, bool)> },
 }
 
+/// End of the recency list / no neighbour.
+const NIL: u32 = u32::MAX;
+
+/// What the residency map holds per line.
 #[derive(Clone, Copy, Debug)]
-struct LineState {
+struct Resident {
+    /// The line's node in `links`.
+    node: u32,
     dirty: bool,
-    lru: u64,
+}
+
+/// A node of the recency list threaded through `links`.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    /// Neighbour towards the least recently used end.
+    older: u32,
+    /// Neighbour towards the most recently used end.
+    newer: u32,
 }
 
 /// One core's scratchpad: a software-managed line store with LRU
 /// replacement (the double-buffered tile schedule the compiler emits).
+///
+/// Residency is a map from line to a list node; recency is a doubly
+/// linked list through `links`, oldest first, so the LRU victim is the
+/// list's head. Only the owning core's [`SpmState::access`] moves a line to the
+/// young end: a remote core's [`SpmState::touch_remote`] leaves recency
+/// alone — the tile schedule is the owner's, and a remote read must not
+/// keep a tile the owner has finished with.
 #[derive(Clone, Debug)]
 pub struct SpmState {
     capacity_lines: usize,
-    lines: HashMap<u64, LineState>,
-    clock: u64,
+    lines: LineMap<Resident>,
+    /// The recency list, oldest first. Kept apart from the line numbers
+    /// so the part a hit rewrites stays small (eight bytes a line).
+    links: Vec<Link>,
+    /// Line held by each node; read only to name a victim.
+    line_of: Vec<u64>,
+    /// Nodes not holding a line.
+    free: Vec<u32>,
+    oldest: u32,
+    newest: u32,
     pub hits: u64,
     pub fills: u64,
     pub writebacks: u64,
@@ -44,46 +73,85 @@ impl SpmState {
         assert!(line_bytes > 0 && spm_bytes as u64 >= line_bytes);
         SpmState {
             capacity_lines: (spm_bytes as u64 / line_bytes) as usize,
-            lines: HashMap::new(),
-            clock: 0,
+            lines: LineMap::default(),
+            links: Vec::new(),
+            line_of: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             hits: 0,
             fills: 0,
             writebacks: 0,
         }
     }
 
+    /// Take node `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Link { older, newer } = self.links[i as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.links[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.links[n as usize].older = older,
+        }
+    }
+
+    /// Append node `i` at the most recently used end.
+    fn push_newest(&mut self, i: u32) {
+        self.links[i as usize] = Link {
+            older: self.newest,
+            newer: NIL,
+        };
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.links[n as usize].newer = i,
+        }
+        self.newest = i;
+    }
+
     /// Reference the line containing byte address `addr`; `store` marks
     /// it dirty.
     pub fn access(&mut self, addr: u64, store: bool) -> SpmAccess {
-        self.clock += 1;
-        let clock = self.clock;
         let line = addr >> 6;
-        if let Some(l) = self.lines.get_mut(&line) {
-            l.lru = clock;
-            l.dirty |= store;
+        if let Some(r) = self.lines.get_mut(&line) {
+            r.dirty |= store;
+            let i = r.node;
+            if i != self.newest {
+                self.unlink(i);
+                self.push_newest(i);
+            }
             self.hits += 1;
             return SpmAccess::Hit;
         }
         let mut evicted = None;
         if self.lines.len() >= self.capacity_lines {
-            let (&victim, _) = self
-                .lines
-                .iter()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty when full");
-            let l = self.lines.remove(&victim).expect("victim exists");
-            if l.dirty {
+            let victim = self.line_of[self.oldest as usize];
+            let dirty = self
+                .invalidate(victim)
+                .expect("the oldest line is resident");
+            if dirty {
                 self.writebacks += 1;
             }
-            evicted = Some((victim, l.dirty));
+            evicted = Some((victim, dirty));
         }
-        self.lines.insert(
-            line,
-            LineState {
-                dirty: store,
-                lru: clock,
-            },
-        );
+        let node = match self.free.pop() {
+            Some(i) => {
+                self.line_of[i as usize] = line;
+                i
+            }
+            None => {
+                self.line_of.push(line);
+                self.links.push(Link {
+                    older: NIL,
+                    newer: NIL,
+                });
+                (self.links.len() - 1) as u32
+            }
+        };
+        self.push_newest(node);
+        self.lines.insert(line, Resident { node, dirty: store });
         self.fills += 1;
         SpmAccess::Fill { evicted }
     }
@@ -95,11 +163,11 @@ impl SpmState {
 
     /// Access a resident line on behalf of a *remote* core (the hybrid
     /// protocol's unknown-alias path). Returns false when not resident
-    /// (stale directory entry).
+    /// (stale directory entry). Does not refresh the line's recency.
     pub fn touch_remote(&mut self, addr: u64, store: bool) -> bool {
         match self.lines.get_mut(&(addr >> 6)) {
-            Some(l) => {
-                l.dirty |= store;
+            Some(r) => {
+                r.dirty |= store;
                 self.hits += 1;
                 true
             }
@@ -110,12 +178,22 @@ impl SpmState {
     /// Drop a line (cross-SPM invalidation when another core writes
     /// it). Returns `Some(dirty)` when it was resident.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        self.lines.remove(&line).map(|l| l.dirty)
+        let r = self.lines.remove(&line)?;
+        self.unlink(r.node);
+        self.free.push(r.node);
+        Some(r.dirty)
     }
 
-    /// Resident line numbers (for consistency checks).
+    /// Resident line numbers, least recently used first (for consistency
+    /// checks).
     pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.keys().copied()
+        let mut at = self.oldest;
+        std::iter::from_fn(move || {
+            // `NIL` indexes past every node: the end of the list.
+            let line = *self.line_of.get(at as usize)?;
+            at = self.links[at as usize].newer;
+            Some(line)
+        })
     }
 
     pub fn capacity_lines(&self) -> usize {
@@ -217,6 +295,101 @@ mod tests {
                 assert!(dirty, "remote store must dirty the line");
             }
             r => panic!("expected eviction, got {r:?}"),
+        }
+    }
+    /// The scratchpad this module had before the recency list — a map of
+    /// LRU stamps and a `min_by_key` scan for the victim — kept as the
+    /// oracle.
+    struct StampedSpm {
+        capacity_lines: usize,
+        lines: std::collections::HashMap<u64, (bool, u64)>,
+        clock: u64,
+        hits: u64,
+        fills: u64,
+        writebacks: u64,
+    }
+
+    impl StampedSpm {
+        fn access(&mut self, addr: u64, store: bool) -> SpmAccess {
+            self.clock += 1;
+            let line = addr >> 6;
+            if let Some(l) = self.lines.get_mut(&line) {
+                *l = (l.0 | store, self.clock);
+                self.hits += 1;
+                return SpmAccess::Hit;
+            }
+            let mut evicted = None;
+            if self.lines.len() >= self.capacity_lines {
+                let (&victim, _) = self.lines.iter().min_by_key(|(_, l)| l.1).unwrap();
+                let (dirty, _) = self.lines.remove(&victim).unwrap();
+                self.writebacks += dirty as u64;
+                evicted = Some((victim, dirty));
+            }
+            self.lines.insert(line, (store, self.clock));
+            self.fills += 1;
+            SpmAccess::Fill { evicted }
+        }
+
+        fn touch_remote(&mut self, addr: u64, store: bool) -> bool {
+            match self.lines.get_mut(&(addr >> 6)) {
+                Some(l) => {
+                    l.0 |= store;
+                    self.hits += 1;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<bool> {
+            self.lines.remove(&line).map(|l| l.0)
+        }
+    }
+
+    proptest::proptest! {
+        /// Test (ii): the O(1)-victim scratchpad against the scan it
+        /// replaced, over random owner accesses, remote touches and
+        /// invalidations on a working set of 1.5× the capacity.
+        #[test]
+        fn recency_list_evicts_what_the_stamp_scan_evicted(
+            capacity in 4usize..=16,
+            ops in proptest::collection::vec((0u8..10, 0u64..24, proptest::prelude::any::<bool>()), 1..400),
+        ) {
+            let mut spm = SpmState::new(capacity * 64, 64);
+            let mut oracle = StampedSpm {
+                capacity_lines: capacity,
+                lines: Default::default(),
+                clock: 0,
+                hits: 0,
+                fills: 0,
+                writebacks: 0,
+            };
+            for (kind, pick, store) in ops {
+                // Lines 0..1.5×capacity, a byte offset inside the line.
+                let line = pick % (capacity as u64 * 3 / 2);
+                let addr = line * 64 + pick;
+                match kind {
+                    0..=5 => proptest::prop_assert_eq!(
+                        spm.access(addr, store),
+                        oracle.access(addr, store)
+                    ),
+                    6..=7 => proptest::prop_assert_eq!(
+                        spm.touch_remote(addr, store),
+                        oracle.touch_remote(addr, store)
+                    ),
+                    _ => proptest::prop_assert_eq!(spm.invalidate(line), oracle.invalidate(line)),
+                }
+                proptest::prop_assert_eq!(
+                    (spm.hits, spm.fills, spm.writebacks),
+                    (oracle.hits, oracle.fills, oracle.writebacks)
+                );
+            }
+            // Same residents, and the list really is in stamp order.
+            let mut by_stamp: Vec<(u64, u64)> =
+                oracle.lines.iter().map(|(&line, l)| (l.1, line)).collect();
+            by_stamp.sort_unstable();
+            let want: Vec<u64> = by_stamp.into_iter().map(|(_, line)| line).collect();
+            proptest::prop_assert_eq!(spm.resident_lines().collect::<Vec<_>>(), want);
         }
     }
 }

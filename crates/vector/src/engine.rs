@@ -10,6 +10,7 @@
 //!   true iff no `j > i` has `v[j] == v[i]`.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::timing::{InstrClass, InstrCounts, Timing};
 
@@ -90,14 +91,43 @@ impl Mask {
     }
 }
 
+/// Multiply-mix hasher for the VPI/VLU scratch map's `u64` element
+/// values (radix digits, mostly): the values come from the simulated
+/// program, not from outside, and SipHash cost more than the rest of the
+/// instruction.
+#[derive(Default)]
+struct ElemHasher(u64);
+
+impl Hasher for ElemHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the scratch map hashes exactly one u64");
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = m ^ (m >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The engine: executes operations, accumulates cycles.
 pub struct VectorEngine {
     cfg: EngineCfg,
     vl: usize,
     cycles: u64,
     counts: InstrCounts,
-    /// Per-class cycle attribution (for the CPT breakdown table).
-    class_cycles: HashMap<InstrClass, u64>,
+    /// Per-class cycle attribution (for the CPT breakdown table),
+    /// indexed by `InstrClass as usize`.
+    class_cycles: [u64; 9],
+    /// Buffers of recycled registers, handed to the next results.
+    free_regs: Vec<Vec<u64>>,
+    free_masks: Vec<Vec<bool>>,
+    /// VPI/VLU scratch: element value → instances so far / last index.
+    /// Empty between instructions.
+    seen: HashMap<u64, u64, BuildHasherDefault<ElemHasher>>,
 }
 
 impl VectorEngine {
@@ -107,7 +137,10 @@ impl VectorEngine {
             cfg,
             cycles: 0,
             counts: InstrCounts::default(),
-            class_cycles: HashMap::new(),
+            class_cycles: [0; 9],
+            free_regs: Vec::new(),
+            free_masks: Vec::new(),
+            seen: HashMap::default(),
         }
     }
 
@@ -125,7 +158,7 @@ impl VectorEngine {
         );
         self.cycles += c;
         self.counts.bump(class);
-        *self.class_cycles.entry(class).or_insert(0) += c;
+        self.class_cycles[class as usize] += c;
     }
 
     /// Does a table of `len` u64 elements spill the engine-local buffer?
@@ -138,7 +171,7 @@ impl VectorEngine {
         let c = n * self.cfg.timing.scalar_op;
         self.cycles += c;
         self.counts.scalar += n;
-        *self.class_cycles.entry(InstrClass::Scalar).or_insert(0) += c;
+        self.class_cycles[InstrClass::Scalar as usize] += c;
     }
 
     /// Set the vector length (clamped to MVL); returns the value set.
@@ -165,18 +198,48 @@ impl VectorEngine {
 
     /// Cycles attributed to one instruction class.
     pub fn class_cycles(&self, class: InstrClass) -> u64 {
-        self.class_cycles.get(&class).copied().unwrap_or(0)
+        self.class_cycles[class as usize]
     }
 
     pub fn reset(&mut self) {
         self.cycles = 0;
         self.counts = InstrCounts::default();
-        self.class_cycles.clear();
+        self.class_cycles = [0; 9];
         self.vl = self.cfg.mvl;
     }
 
     fn assert_vl(&self, r: usize) {
         assert_eq!(r, self.vl, "register length must equal the current vl");
+    }
+
+    // ---- register buffers ----
+
+    /// Hand a dead register's buffer back: a later result reuses it
+    /// instead of allocating. Only host memory is recycled — nothing is
+    /// charged, and a result never depends on what the buffer held.
+    pub fn recycle(&mut self, v: Vreg) {
+        self.free_regs.push(v.0);
+    }
+
+    /// [`VectorEngine::recycle`] for a mask register.
+    pub fn recycle_mask(&mut self, m: Mask) {
+        self.free_masks.push(m.0);
+    }
+
+    /// A result register holding `elems`, in a recycled buffer if any.
+    fn reg(&mut self, elems: impl Iterator<Item = u64>) -> Vreg {
+        let mut buf = self.free_regs.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend(elems);
+        Vreg(buf)
+    }
+
+    /// A result mask holding `bits`, in a recycled buffer if any.
+    fn mask(&mut self, bits: impl Iterator<Item = bool>) -> Mask {
+        let mut buf = self.free_masks.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend(bits);
+        Mask(buf)
     }
 
     // ---- memory ----
@@ -185,7 +248,7 @@ impl VectorEngine {
     pub fn load(&mut self, src: &[u64]) -> Vreg {
         assert!(src.len() >= self.vl, "load source shorter than vl");
         self.charge(InstrClass::MemUnit);
-        Vreg(src[..self.vl].to_vec())
+        self.reg(src[..self.vl].iter().copied())
     }
 
     /// Unit-stride store of `v` into `dst`.
@@ -200,7 +263,7 @@ impl VectorEngine {
     pub fn load_strided(&mut self, src: &[u64], start: usize, stride: usize) -> Vreg {
         assert!(stride >= 1 && start + (self.vl - 1) * stride < src.len());
         self.charge(InstrClass::MemUnit);
-        Vreg((0..self.vl).map(|i| src[start + i * stride]).collect())
+        self.reg((0..self.vl).map(|i| src[start + i * stride]))
     }
 
     /// Constant-stride store: `dst[start + i*stride] = v[i]`.
@@ -217,7 +280,7 @@ impl VectorEngine {
     pub fn gather(&mut self, table: &[u64], idx: &Vreg) -> Vreg {
         self.assert_vl(idx.len());
         self.charge_spill(InstrClass::MemIndexed, self.spills(table.len()));
-        Vreg(idx.0.iter().map(|&i| table[i as usize]).collect())
+        self.reg(idx.0.iter().map(|&i| table[i as usize]))
     }
 
     /// Indexed scatter: `table[idx[i]] = vals[i]`. Overlapping indices
@@ -249,20 +312,20 @@ impl VectorEngine {
     /// Broadcast a scalar.
     pub fn splat(&mut self, x: u64) -> Vreg {
         self.charge(InstrClass::Arith);
-        Vreg(vec![x; self.vl])
+        self.reg(std::iter::repeat_n(x, self.vl))
     }
 
     /// `0, 1, 2, …, vl-1`.
     pub fn iota(&mut self) -> Vreg {
         self.charge(InstrClass::Arith);
-        Vreg((0..self.vl as u64).collect())
+        self.reg(0..self.vl as u64)
     }
 
     fn binop(&mut self, a: &Vreg, b: &Vreg, f: impl Fn(u64, u64) -> u64) -> Vreg {
         self.assert_vl(a.len());
         self.assert_vl(b.len());
         self.charge(InstrClass::Arith);
-        Vreg(a.0.iter().zip(&b.0).map(|(&x, &y)| f(x, y)).collect())
+        self.reg(a.0.iter().zip(&b.0).map(|(&x, &y)| f(x, y)))
     }
 
     pub fn add(&mut self, a: &Vreg, b: &Vreg) -> Vreg {
@@ -281,21 +344,13 @@ impl VectorEngine {
     /// the host's UB-adjacent semantics).
     pub fn shr(&mut self, a: &Vreg, shift: u32) -> Vreg {
         self.charge(InstrClass::Arith);
-        Vreg(
-            a.0.iter()
-                .map(|&x| x.checked_shr(shift).unwrap_or(0))
-                .collect(),
-        )
+        self.reg(a.0.iter().map(|&x| x.checked_shr(shift).unwrap_or(0)))
     }
 
     /// Logical shift left; shifts ≥ 64 yield 0.
     pub fn shl(&mut self, a: &Vreg, shift: u32) -> Vreg {
         self.charge(InstrClass::Arith);
-        Vreg(
-            a.0.iter()
-                .map(|&x| x.checked_shl(shift).unwrap_or(0))
-                .collect(),
-        )
+        self.reg(a.0.iter().map(|&x| x.checked_shl(shift).unwrap_or(0)))
     }
 
     pub fn min(&mut self, a: &Vreg, b: &Vreg) -> Vreg {
@@ -311,7 +366,7 @@ impl VectorEngine {
         self.assert_vl(a.len());
         self.assert_vl(b.len());
         self.charge(InstrClass::Arith);
-        Mask(a.0.iter().zip(&b.0).map(|(&x, &y)| x < y).collect())
+        self.mask(a.0.iter().zip(&b.0).map(|(&x, &y)| x < y))
     }
 
     /// Select `a` where mask set, else `b`.
@@ -319,20 +374,15 @@ impl VectorEngine {
         self.assert_vl(a.len());
         self.assert_vl(mask.len());
         self.charge(InstrClass::Arith);
-        Vreg(
-            a.0.iter()
-                .zip(&b.0)
-                .zip(&mask.0)
-                .map(|((&x, &y), &m)| if m { x } else { y })
-                .collect(),
-        )
+        let picks = a.0.iter().zip(&b.0).zip(&mask.0);
+        self.reg(picks.map(|((&x, &y), &m)| if m { x } else { y }))
     }
 
     /// Invert a mask.
     pub fn mask_not(&mut self, m: &Mask) -> Mask {
         self.assert_vl(m.len());
         self.charge(InstrClass::MaskOp);
-        Mask(m.0.iter().map(|&b| !b).collect())
+        self.mask(m.0.iter().map(|&b| !b))
     }
 
     /// Population count of a mask (scalar result).
@@ -349,15 +399,11 @@ impl VectorEngine {
         self.assert_vl(v.len());
         self.assert_vl(mask.len());
         self.charge(InstrClass::Compress);
-        let mut out = Vec::with_capacity(self.vl);
-        for (&x, &m) in v.0.iter().zip(&mask.0) {
-            if m {
-                out.push(x);
-            }
-        }
+        let kept = v.0.iter().zip(&mask.0).filter(|&(_, &m)| m);
+        let mut out = self.reg(kept.map(|(&x, _)| x));
         let n = out.len();
-        out.resize(self.vl, 0);
-        (Vreg(out), n)
+        out.0.resize(self.vl, 0);
+        (out, n)
     }
 
     /// Sum-reduce to a scalar.
@@ -380,33 +426,29 @@ impl VectorEngine {
     pub fn vpi(&mut self, v: &Vreg) -> Vreg {
         self.assert_vl(v.len());
         self.charge(InstrClass::Vpi);
-        let mut seen: HashMap<u64, u64> = HashMap::with_capacity(self.vl);
-        let out =
-            v.0.iter()
-                .map(|&x| {
-                    let c = seen.entry(x).or_insert(0);
-                    let prior = *c;
-                    *c += 1;
-                    prior
-                })
-                .collect();
-        Vreg(out)
+        let mut seen = std::mem::take(&mut self.seen);
+        let out = self.reg(v.0.iter().map(|&x| {
+            let c = seen.entry(x).or_insert(0);
+            *c += 1;
+            *c - 1
+        }));
+        seen.clear();
+        self.seen = seen;
+        out
     }
 
     /// **Vector Last Unique**: `mask[i] = (∄ j > i : v[j] == v[i])`.
     pub fn vlu(&mut self, v: &Vreg) -> Mask {
         self.assert_vl(v.len());
         self.charge(InstrClass::Vlu);
-        let mut last: HashMap<u64, usize> = HashMap::with_capacity(self.vl);
+        let mut last = std::mem::take(&mut self.seen);
         for (i, &x) in v.0.iter().enumerate() {
-            last.insert(x, i);
+            last.insert(x, i as u64);
         }
-        Mask(
-            v.0.iter()
-                .enumerate()
-                .map(|(i, &x)| last[&x] == i)
-                .collect(),
-        )
+        let out = self.mask(v.0.iter().enumerate().map(|(i, &x)| last[&x] == i as u64));
+        last.clear();
+        self.seen = last;
+        out
     }
 }
 

@@ -60,6 +60,9 @@ pub fn bitonic_sort(e: &mut VectorEngine, keys: &mut Vec<u64>) {
                     e.store(&mut a[lo..], &first);
                     e.store(&mut a[hi..], &second);
                     e.scalar_ops(2);
+                    for dead in [x, y, first, second] {
+                        e.recycle(dead);
+                    }
                     t += vl;
                 }
                 base += 2 * j;

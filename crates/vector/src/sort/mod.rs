@@ -211,4 +211,102 @@ mod tests {
         let m64 = run(64);
         assert!(m8 > m64, "MVL amortises startup: {m8} vs {m64}");
     }
+    /// Seeded 32-bit keys drawn from splitmix64 rather than `rand` (the
+    /// offline stub and the published crate draw different sequences, and
+    /// vquick's and the scalar quicksort's cycles depend on the keys).
+    fn pinned_keys(n: usize) -> Vec<u64> {
+        let mut z = 7u64;
+        (0..n)
+            .map(|_| {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (x ^ (x >> 31)) >> 32
+            })
+            .collect()
+    }
+
+    type EngineSort = fn(&mut VectorEngine, &mut Vec<u64>);
+
+    /// The engine's accounting — cycles and instruction counts of every
+    /// sorter on 4,096 seeded keys — recorded from the commit before the
+    /// array attribution, the register free list and the scratch map.
+    #[test]
+    fn engine_accounting_is_pinned() {
+        use crate::timing::{InstrClass, InstrCounts};
+        const CLASSES: [InstrClass; 9] = [
+            InstrClass::Arith,
+            InstrClass::MaskOp,
+            InstrClass::MemUnit,
+            InstrClass::MemIndexed,
+            InstrClass::Compress,
+            InstrClass::Reduce,
+            InstrClass::Vpi,
+            InstrClass::Vlu,
+            InstrClass::Scalar,
+        ];
+        let vector: [(&str, EngineSort); 4] = [
+            ("vsr", vsr::vsr_sort),
+            ("vradix", vradix::vradix_sort),
+            ("bitonic", bitonic::bitonic_sort),
+            ("vquick", |e, k| vquick::vquick_sort(e, k)),
+        ];
+        // (cycles, [arith, mask_op, mem_unit, mem_indexed, compress,
+        // reduce, vpi, vlu, scalar]) per sorter, at (64, 4) then (16, 2).
+        #[rustfmt::skip]
+        let pinned: [[(u64, [u64; 9]); 4]; 2] = [
+            [
+                (115_232, [2064, 0, 512, 1280, 0, 0, 512, 512, 3072]),
+                (164_912, [5656, 0, 1024, 2560, 0, 256, 0, 0, 2048]),
+                (891_712, [90_816, 0, 181_632, 0, 0, 0, 0, 0, 90_816]),
+                (174_709, [1299, 433, 1447, 0, 1299, 0, 0, 0, 116_584]),
+            ],
+            [
+                (184_352, [8208, 0, 2048, 5120, 0, 0, 2048, 2048, 6144]),
+                (229_168, [21_016, 0, 4096, 10_240, 0, 256, 0, 0, 8192]),
+                (1_038_848, [95_744, 0, 191_488, 0, 0, 0, 0, 0, 95_744]),
+                (231_456, [6801, 2267, 7331, 0, 6801, 0, 0, 0, 53_796]),
+            ],
+        ];
+        // The scalar baselines ignore the engine configuration.
+        let scalar = [1_230_347u64, 559_104];
+        let counts = |c: [u64; 9]| InstrCounts {
+            arith: c[0],
+            mask_op: c[1],
+            mem_unit: c[2],
+            mem_indexed: c[3],
+            compress: c[4],
+            reduce: c[5],
+            vpi: c[6],
+            vlu: c[7],
+            scalar: c[8],
+        };
+        let keys = pinned_keys(1 << 12);
+        for (c, cfg) in [EngineCfg::new(64, 4), EngineCfg::new(16, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut e = VectorEngine::new(cfg);
+            for (s, (name, sort)) in vector.iter().enumerate() {
+                e.reset();
+                let mut k = keys.clone();
+                sort(&mut e, &mut k);
+                let first = (e.cycles(), e.counts());
+                let (cycles, by_count) = pinned[c][s];
+                assert_eq!(first, (cycles, counts(by_count)), "{name} at {cfg:?}");
+                let by_class: u64 = CLASSES.iter().map(|&cl| e.class_cycles(cl)).sum();
+                assert_eq!(by_class, e.cycles(), "{name}: class cycles must add up");
+                // Same engine again: the free list and the scratch map
+                // carry no state from one sort into the next.
+                e.reset();
+                let mut k = keys.clone();
+                sort(&mut e, &mut k);
+                assert_eq!((e.cycles(), e.counts()), first, "{name} on a reused engine");
+            }
+            let quick = scalar::ScalarQuicksort.sort(cfg, &mut keys.clone());
+            let radix = scalar::ScalarRadix.sort(cfg, &mut keys.clone());
+            assert_eq!([quick, radix], scalar, "scalar baselines at {cfg:?}");
+        }
+    }
 }

@@ -84,6 +84,12 @@ pub fn vquick_sort(e: &mut VectorEngine, keys: &mut [u64]) {
             eq_buf.extend_from_slice(&q.as_slice()[..nq]);
             // The packed stores back to the partition buffers.
             e.scalar_ops(2);
+            for dead in [k, pv, l, g, q] {
+                e.recycle(dead);
+            }
+            for dead in [lt, gt, nlt, both] {
+                e.recycle_mask(dead);
+            }
             i += vl;
         }
         // Unit-stride writeback of the three runs.
@@ -94,6 +100,7 @@ pub fn vquick_sort(e: &mut VectorEngine, keys: &mut [u64]) {
                 let vl = e.set_vl(buf.len() - t);
                 let v = e.load(&buf[t..]);
                 e.store(&mut keys[w + t..], &v);
+                e.recycle(v);
                 t += vl;
             }
             w += buf.len();

@@ -71,6 +71,9 @@ pub fn vradix_sort(e: &mut VectorEngine, keys: &mut Vec<u64>) {
             let inc = e.add(&cur, &ones);
             e.scatter(&mut rep, &idx, &inc); // conflict-free by construction
             e.scalar_ops(2);
+            for dead in [k, sh, d, row, idx, cur, inc] {
+                e.recycle(dead);
+            }
         }
         // -------- phase 2: scan of the replicated table --------
         // Exclusive prefix over (digit-major, then slot) order; scalar
@@ -90,6 +93,8 @@ pub fn vradix_sort(e: &mut VectorEngine, keys: &mut Vec<u64>) {
             let v = e.splat(0);
             let w = e.add(&v, &v);
             let _ = e.reduce_sum(&w);
+            e.recycle(v);
+            e.recycle(w);
         }
         // -------- phase 3: permute --------
         for t in 0..chunk {
@@ -103,6 +108,9 @@ pub fn vradix_sort(e: &mut VectorEngine, keys: &mut Vec<u64>) {
             let next = e.add(&pos, &ones);
             e.scatter(&mut offsets, &idx, &next);
             e.scalar_ops(2);
+            for dead in [k, sh, d, row, idx, pos, next] {
+                e.recycle(dead);
+            }
         }
         std::mem::swap(&mut src, &mut dst);
     }

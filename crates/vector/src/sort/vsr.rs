@@ -94,21 +94,28 @@ fn vsr_sort_generic(
         let mut i = 0;
         while i < n {
             let vl = e.set_vl(n - i);
+            // The last, shorter strip needs constants of its own length.
+            let tail;
             let (dm, on) = if vl == digit_mask.len() {
-                (digit_mask.clone(), ones.clone())
+                (&digit_mask, &ones)
             } else {
-                (e.splat((R - 1) as u64), e.splat(1))
+                tail = (e.splat((R - 1) as u64), e.splat(1));
+                (&tail.0, &tail.1)
             };
             let k = e.load(&src[i..]);
             let sh = e.shr(&k, shift);
-            let d = e.and(&sh, &dm);
+            let d = e.and(&sh, dm);
             let cur = e.gather(&hist, &d);
             let prior = e.vpi(&d);
             let sum = e.add(&cur, &prior);
-            let newc = e.add(&sum, &on);
+            let newc = e.add(&sum, on);
             let last = e.vlu(&d);
             e.scatter_masked(&mut hist, &d, &newc, &last);
             e.scalar_ops(2);
+            for dead in [k, sh, d, cur, prior, sum, newc] {
+                e.recycle(dead);
+            }
+            e.recycle_mask(last);
             i += vl;
         }
         let mut offsets = vec![0u64; R];
@@ -124,14 +131,17 @@ fn vsr_sort_generic(
         let mut i = 0;
         while i < n {
             let vl = e.set_vl(n - i);
+            // The last, shorter strip needs constants of its own length.
+            let tail;
             let (dm, on) = if vl == digit_mask.len() {
-                (digit_mask.clone(), ones.clone())
+                (&digit_mask, &ones)
             } else {
-                (e.splat((R - 1) as u64), e.splat(1))
+                tail = (e.splat((R - 1) as u64), e.splat(1));
+                (&tail.0, &tail.1)
             };
             let k = e.load(&src[i..]);
             let sh = e.shr(&k, shift);
-            let d = e.and(&sh, &dm);
+            let d = e.and(&sh, dm);
             let base = e.gather(&offsets, &d);
             let prior = e.vpi(&d);
             let pos = e.add(&base, &prior);
@@ -139,11 +149,16 @@ fn vsr_sort_generic(
             if payloads.is_some() {
                 let pv = e.load(&psrc[i..]);
                 e.scatter(&mut pdst, &pos, &pv);
+                e.recycle(pv);
             }
-            let next = e.add(&pos, &on);
+            let next = e.add(&pos, on);
             let last = e.vlu(&d);
             e.scatter_masked(&mut offsets, &d, &next, &last);
             e.scalar_ops(2);
+            for dead in [k, sh, d, base, prior, pos, next] {
+                e.recycle(dead);
+            }
+            e.recycle_mask(last);
             i += vl;
         }
         std::mem::swap(&mut src, &mut dst);
