@@ -1,7 +1,9 @@
-//! serving-load — seeded open-loop serving benchmark over the job
-//! runtime, plus an A/B chaos campaign for the overload protections.
+//! serving-load — seeded open-loop A/B chaos campaign for the overload
+//! protections of the job runtime, plus a long-running serving demo.
+//! (Serving latency is *measured* by `benchmark/`'s `serve_steady` and
+//! `serve_overload` workloads; this binary is a test and a demo.)
 //!
-//! **Default mode** drives a Poisson arrival process (open loop: arrival
+//! The campaign drives a Poisson arrival process (open loop: arrival
 //! times are precomputed from the seed, a late runtime does not slow the
 //! clients down) through a mixed job palette:
 //!
@@ -10,18 +12,12 @@
 //!   whose first execution stalls far past the soft timeout, exercising
 //!   hedged re-execution.
 //! * **batch** — BestEffort single-task requests (3ms service) with a
-//!   deadline the reaper enforces; the offered rate sweeps from
-//!   underload to ~2x capacity.
+//!   deadline the reaper enforces, offered at ~2x capacity.
 //! * **batch-cg** — every 16th batch request is a blocked-CG-shaped
 //!   dependency graph (49 tasks) instead of a single task, so the
 //!   palette covers TDG-shaped requests, not just independent ones.
 //!
-//! It prints `RESULT <key> <value>` lines (p50/p99/p999 critical
-//! latency, goodput, shed and deadline-miss rates per offered-load
-//! point) which `devtools/bench-json.sh --serving` records into
-//! `BENCH_serving.json`.
-//!
-//! **`--chaos`** runs the same palette twice at ~2x overload with a
+//! **`--chaos`** runs that palette twice at ~2x overload with a
 //! worker kill mid-load and two doomed tenants, and prints only
 //! seed-deterministic booleans (CI diffs two runs):
 //!
@@ -47,8 +43,9 @@
 //! `raa_top` renders live. `RAA_SERVE_SECS` bounds the run (0 = until
 //! killed).
 //!
-//! Usage: `cargo run --release -p raa-bench --bin serving_load
-//! [--chaos] [--telemetry] [--serve] [--out <dir>]`
+//! Usage: `cargo run --release -p raa-bench --bin serving_load --
+//! (--chaos [--telemetry] | --serve) [--out <dir>]`; with neither mode
+//! flag it prints this usage and exits 2.
 //! Env: `RAA_SCALE` (`test`|`small`|`standard`), `RAA_FAULT_SEED`
 //! (default 42), `RAA_SERVE_SECS` (serve-mode duration, default 0).
 
@@ -184,8 +181,6 @@ struct PhaseResult {
     p99_ms: f64,
     p999_ms: f64,
     goodput_rps: f64,
-    shed_rate: f64,
-    miss_rate: f64,
     shed: usize,
     offered_batch: usize,
     critical_ok: bool,
@@ -221,26 +216,23 @@ fn pct(sorted_ns: &[u64], q: f64) -> f64 {
 /// drain, and fold the outcome into a [`PhaseResult`].
 ///
 /// `protect` switches the serving stack (shed controller, deadlines +
-/// reaper, hedging) on or off; `chaos` adds the worker-kill plan and the
-/// doomed tenants.
+/// reaper, hedging) on or off; the worker-kill plan and the doomed
+/// tenants are there in both phases.
 fn run_phase(
     protect: bool,
-    chaos: bool,
     telemetry: bool,
     seed: u64,
     arrivals: &[Arrival],
     n_critical: usize,
 ) -> PhaseResult {
-    let mut config = RuntimeConfig::with_workers(WORKERS).telemetry(telemetry);
+    let mut config = RuntimeConfig::with_workers(WORKERS)
+        .telemetry(telemetry)
+        .fault_plan(FaultPlan::new(seed).kill_worker(1, 40))
+        .watchdog(WatchdogConfig::enabled().interval(Duration::from_millis(2)));
     if protect {
         config = config
             .shed_delay_budget(SHED_BUDGET)
             .soft_timeout(SOFT_TIMEOUT);
-    }
-    if chaos {
-        config = config
-            .fault_plan(FaultPlan::new(seed).kill_worker(1, 40))
-            .watchdog(WatchdogConfig::enabled().interval(Duration::from_millis(2)));
     }
     let rt = Runtime::new(config);
 
@@ -248,36 +240,32 @@ fn run_phase(
     // starts at zero, so their admission cannot be shed. Each holds a
     // worker past its own deadline with a queued dependent behind it —
     // the reaper must cancel the job and record the dependent as a skip.
-    let doomed: Vec<_> = if chaos {
-        (0..DOOMED_JOBS)
-            .map(|d| {
-                let mut spec = JobSpec::new(format!("doomed{d}")).qos(QosClass::BestEffort);
-                if protect {
-                    spec = spec.deadline(DOOMED_DEADLINE);
-                }
-                let job = rt.submit(spec).expect("runtime is running");
-                let data = job.register("d", 0u64);
-                {
-                    let h = data.clone();
-                    job.task("head")
-                        .updates(&data)
-                        .idempotent(move || {
-                            std::thread::sleep(DOOMED_HEAD);
-                            *h.write() += 1;
-                        })
-                        .spawn();
-                }
+    let doomed: Vec<_> = (0..DOOMED_JOBS)
+        .map(|d| {
+            let mut spec = JobSpec::new(format!("doomed{d}")).qos(QosClass::BestEffort);
+            if protect {
+                spec = spec.deadline(DOOMED_DEADLINE);
+            }
+            let job = rt.submit(spec).expect("runtime is running");
+            let data = job.register("d", 0u64);
+            {
                 let h = data.clone();
-                job.task("tail")
+                job.task("head")
                     .updates(&data)
-                    .idempotent(move || *h.write() += 1)
+                    .idempotent(move || {
+                        std::thread::sleep(DOOMED_HEAD);
+                        *h.write() += 1;
+                    })
                     .spawn();
-                job
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+            }
+            let h = data.clone();
+            job.task("tail")
+                .updates(&data)
+                .idempotent(move || *h.write() += 1)
+                .spawn();
+            job
+        })
+        .collect();
 
     let lat: Arc<Vec<AtomicU64>> =
         Arc::new((0..n_critical).map(|_| AtomicU64::new(u64::MAX)).collect());
@@ -384,16 +372,12 @@ fn run_phase(
     // Batch accounting over the per-job serving metrics.
     let mut completed_batch = 0usize;
     let mut fully_shed = 0usize;
-    let mut missed_batch = 0usize;
     for job in &batch_jobs {
         let m = job.metrics();
         if m.spawned == 0 && m.shed > 0 {
             fully_shed += 1;
         } else if m.spawned > 0 && m.completed == m.spawned && m.failed == 0 {
             completed_batch += 1;
-        }
-        if m.deadline_missed {
-            missed_batch += 1;
         }
     }
 
@@ -426,8 +410,6 @@ fn run_phase(
         p99_ms: pct(&lats, 0.99),
         p999_ms: pct(&lats, 0.999),
         goodput_rps: (n_critical + completed_batch) as f64 / window_secs,
-        shed_rate: fully_shed as f64 / offered_batch as f64,
-        miss_rate: missed_batch as f64 / offered_batch as f64,
         shed: fully_shed,
         offered_batch,
         critical_ok,
@@ -493,7 +475,7 @@ fn chaos_campaign(seed: u64, n_critical: usize, telemetry: bool) {
     );
     rule(86);
 
-    let a = run_phase(true, true, telemetry, seed, &arrivals, n_critical);
+    let a = run_phase(true, telemetry, seed, &arrivals, n_critical);
     eprintln!(
         "[detail] A: p50={:.2}ms p99={:.2}ms p999={:.2}ms goodput={:.0}rps shed={}/{} \
          missed-doomed={} hedged={} deaths={} respawns={}",
@@ -523,7 +505,7 @@ fn chaos_campaign(seed: u64, n_critical: usize, telemetry: bool) {
         a.drain_bounded,
     );
 
-    let b = run_phase(false, true, telemetry, seed, &arrivals, n_critical);
+    let b = run_phase(false, telemetry, seed, &arrivals, n_critical);
     eprintln!(
         "[detail] B: p50={:.2}ms p99={:.2}ms p999={:.2}ms goodput={:.0}rps shed={}/{} \
          hedged={} deaths={}",
@@ -595,36 +577,6 @@ fn chaos_campaign(seed: u64, n_critical: usize, telemetry: bool) {
             );
         }
     }
-}
-
-fn bench_sweep(seed: u64, n_critical: usize) {
-    println!(
-        "serving-load — open-loop sweep: {n_critical} critical requests + best-effort mix, \
-         {WORKERS} workers, seed {seed}, protections on"
-    );
-    rule(86);
-    // Offered best-effort load vs capacity: the batch gap that saturates
-    // the workers left over by the critical tenant, scaled per point.
-    for (label, mult) in [("0.5", 0.5f64), ("1.0", 1.0), ("2.0", 2.0)] {
-        let spare = WORKERS as f64 - CRITICAL_SERVICE.as_nanos() as f64 / CRITICAL_GAP_NS as f64;
-        let gap = (BATCH_SERVICE.as_nanos() as f64 / (spare * mult)) as u64;
-        let arrivals = schedule(seed, n_critical, gap);
-        let r = run_phase(true, false, false, seed, &arrivals, n_critical);
-        assert!(r.critical_ok, "critical tenant failed at {label}x");
-        assert!(
-            r.drain_clean && r.drain_bounded,
-            "drain misbehaved at {label}x"
-        );
-        println!("RESULT p50_ms@{label}x {:.3}", r.p50_ms);
-        println!("RESULT p99_ms@{label}x {:.3}", r.p99_ms);
-        println!("RESULT p999_ms@{label}x {:.3}", r.p999_ms);
-        println!("RESULT goodput_rps@{label}x {:.1}", r.goodput_rps);
-        println!("RESULT shed_rate@{label}x {:.4}", r.shed_rate);
-        println!("RESULT miss_rate@{label}x {:.4}", r.miss_rate);
-    }
-    rule(86);
-    println!("series: critical p50/p99/p999 (ms), goodput (requests/s), best-effort shed and");
-    println!("deadline-miss rates per offered-load multiple of spare capacity.");
 }
 
 /// Long-running serving process: three persistent tenants under steady
@@ -744,6 +696,10 @@ fn main() {
     } else if has("--chaos") {
         chaos_campaign(seed, n_critical, has("--telemetry"));
     } else {
-        bench_sweep(seed, n_critical);
+        eprintln!(
+            "usage: serving_load (--chaos [--telemetry] | --serve) [--out <dir>]\n\
+             serving latency is measured by benchmark/run.sh (serve_steady, serve_overload)"
+        );
+        std::process::exit(2);
     }
 }

@@ -1,19 +1,21 @@
 //! Trace-driven runtime introspection report.
 //!
-//! Runs the blocked-CG-shaped task graph (the same shape as
-//! `runtime_throughput`'s `cg` workload) once untraced and once with
-//! tracing + TDG recording, then prints:
+//! Runs the blocked-CG-shaped task graph ([`raa_bench::spawn_cg_shape`])
+//! with tracing + TDG recording, then prints:
 //!
-//! * the tracing overhead (traced vs untraced tasks/sec),
 //! * the aggregated [`MetricsReport`] (steal hit-rate, park ratio,
 //!   injector overflow, per-queue residency, retry histogram),
 //! * a per-worker event/slice summary, and
 //! * the measured critical path replayed against the recorded TDG,
 //!   compared with the bottom-level estimator's online predictions.
 //!
+//! What tracing costs is measured by `benchmark/` (`trace_overhead_frac`,
+//! `trace.price_ns_per_task`), not here.
+//!
 //! Env: `RAA_BENCH_TASKS` (target tasks, default 20000),
 //! `RAA_TRACE_WORKERS` (default 4). `--trace <path>` additionally writes
-//! the Chrome-trace JSON. `--contention` appends the scheduler/memory
+//! the Chrome-trace JSON (`devtools/trace-check.sh` validates it).
+//! `--contention` appends the scheduler/memory
 //! contention section: per-victim steal hit-rates, the share of ready
 //! dispatches that crossed the shared injector (and how many of those
 //! overflowed the ring), and the slab's remote-free ratio.
@@ -23,8 +25,6 @@
 //! (a `serving_load --serve` publication or a chaos-campaign `--out`
 //! artefact) — the trace pipeline and the telemetry pipeline meet in
 //! one reporting tool.
-
-use std::time::Instant;
 
 use raa_bench::telemetry_text::{
     hist_quantile, parse_prometheus, sample_value, sample_value_labeled,
@@ -158,18 +158,6 @@ fn main() {
     );
     raa_bench::rule(72);
 
-    // Untraced reference for the overhead figure.
-    let rt = Runtime::new(
-        RuntimeConfig::with_workers(workers)
-            .policy(SchedulerPolicy::WorkStealing)
-            .topology(topology),
-    );
-    let t0 = Instant::now();
-    raa_bench::spawn_cg_shape(&rt, iters);
-    rt.taskwait();
-    let untraced = rt.stats().spawned as f64 / t0.elapsed().as_secs_f64();
-    drop(rt);
-
     // Traced + recorded run: the subject of the report.
     let rt = Runtime::new(
         RuntimeConfig::with_workers(workers)
@@ -180,21 +168,13 @@ fn main() {
                 target,
             ))),
     );
-    let t0 = Instant::now();
     raa_bench::spawn_cg_shape(&rt, iters);
     rt.taskwait();
-    let traced = rt.stats().spawned as f64 / t0.elapsed().as_secs_f64();
     let stats = rt.stats();
     let contention = rt.contention_report();
     let trace = rt.drain_trace().expect("tracing configured");
     let graph = rt.graph().expect("recording configured");
 
-    println!(
-        "throughput: untraced {untraced:.0} tasks/s, traced {traced:.0} tasks/s \
-         (overhead {})",
-        raa_bench::fmt_pct(untraced / traced - 1.0)
-    );
-    println!();
     println!("{}", MetricsReport::build(&trace, &stats));
 
     println!("per-worker activity:");

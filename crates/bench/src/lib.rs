@@ -27,9 +27,8 @@ const CG_ITERS_PER_BATCH: usize = 16;
 /// [`TaskScope`] — the whole runtime or one tenant's job: per iteration,
 /// per-block spmv (`R x[b]`, `W q[b]`), a dot-product reduction
 /// serialised on a scalar, one scale step, and per-block axpy. Shared by
-/// `runtime_throughput` (the `cg` workload), `trace_report` and
-/// `serving_load` (the dependency-shaped requests of its job palette) so
-/// all measure the same shape. Iterations are submitted through
+/// `trace_report` and `serving_load` (the dependency-shaped requests of
+/// its job palette). Iterations are submitted through
 /// [`TaskScope::spawn_many`] in multi-iteration batches — one admission
 /// reservation, slab claim and dependency sweep per ~16 iterations;
 /// intra-batch edges wire identically to sequential spawns. Returns the
@@ -95,13 +94,26 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-/// Problem scale from the environment.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("RAA_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        Ok("small") => Scale::Small,
-        _ => Scale::Standard,
+/// Problem scale named by `RAA_SCALE`'s value (`None`: unset).
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        Some("test") => Ok(Scale::Test),
+        Some("small") => Ok(Scale::Small),
+        Some("standard") | None => Ok(Scale::Standard),
+        Some(other) => Err(format!(
+            "RAA_SCALE={other}: expected test, small or standard (unset means standard)"
+        )),
     }
+}
+
+/// Problem scale from the environment; a value that names no scale ends
+/// the process with status 2 rather than running the largest size.
+pub fn scale_from_env() -> Scale {
+    let value = std::env::var_os("RAA_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Print a horizontal rule sized to `width`.
@@ -138,6 +150,18 @@ mod tests {
         assert_eq!(fmt_x(1.234), "1.23x");
         assert_eq!(fmt_pct(0.147), "+14.7%");
         assert_eq!(fmt_pct(-0.05), "-5.0%");
+    }
+
+    #[test]
+    fn scale_names_parse_and_a_typo_is_refused() {
+        assert!(matches!(parse_scale(None), Ok(Scale::Standard)));
+        assert!(matches!(parse_scale(Some("test")), Ok(Scale::Test)));
+        assert!(matches!(parse_scale(Some("small")), Ok(Scale::Small)));
+        assert!(matches!(parse_scale(Some("standard")), Ok(Scale::Standard)));
+        for bad in ["smal", "", "Test", "standard "] {
+            let err = parse_scale(Some(bad)).expect_err(bad);
+            assert!(err.contains("test, small or standard"), "{err}");
+        }
     }
 
     #[test]

@@ -58,6 +58,13 @@ pub fn analyze(graph: &TaskGraph, slack: u64) -> Analysis {
     }
 }
 
+/// The threshold the live runtime classifies with: an `Auto` task is
+/// critical when its bottom level reaches this fraction of the longest
+/// one seen in its job ([`OnlineCriticality::is_critical`]'s rule),
+/// decided once, when the task becomes ready. Levels are exact within a
+/// `spawn_many` batch, one hop deep across batches and for single spawns.
+pub const CRITICALITY_THRESHOLD: f64 = 0.9;
+
 /// Incremental bottom-level estimation over a TDG under construction,
 /// in the spirit of Criticality-Aware Task Scheduling (CATS): when a new
 /// task arrives, the bottom levels of its (transitive) predecessors grow,

@@ -20,8 +20,8 @@
 //!   [`AdmissionError::Busy`] at the cap, `spawn` blocks until capacity
 //!   frees up;
 //! * **load shedding** — [`crate::QosClass::BestEffort`] jobs drop tasks
-//!   once the global in-flight count reaches the configured shed
-//!   watermark, protecting guaranteed tenants;
+//!   while the smoothed queue delay exceeds
+//!   `RuntimeConfig::shed_delay_budget`, protecting guaranteed tenants;
 //! * **graceful lifecycle** — `Runtime::drain(timeout)` walks the
 //!   Running → Draining → Drained state machine: stop admitting jobs,
 //!   let in-flight work finish, cancel what remains, and force worker
@@ -179,7 +179,7 @@ pub enum AdmissionError {
     /// An in-flight cap (per-job or global) or the job-count cap is
     /// reached. Retry later, or use the blocking `spawn`.
     Busy,
-    /// A best-effort task was load-shed at the global shed watermark.
+    /// A best-effort task was load-shed by the overload controller.
     Shed,
     /// The runtime is draining (or drained): no new work is admitted.
     Draining,
@@ -252,8 +252,7 @@ pub struct JobMetrics {
     pub completed: u64,
     /// Tasks settled as failed (panicked, poisoned or cancelled).
     pub failed: u64,
-    /// Admissions refused by load shedding (watermark or adaptive
-    /// controller).
+    /// Admissions refused by load shedding.
     pub shed: u64,
     /// Tasks admitted into the job.
     pub spawned: u64,

@@ -1,10 +1,10 @@
 //! Adaptive overload control: a queue-delay-driven shed controller.
 //!
-//! The static `shed_watermark` (PR 6) sheds BestEffort work when the
-//! global in-flight count crosses a fixed line — simple, but the right
-//! line depends on worker count, task grain, and offered mix. The
-//! controller here measures what the SLO actually cares about: the delay
-//! between a task's admission and its first dispatch. When the smoothed
+//! The runtime's one shed trigger. A fixed in-flight line would be
+//! simpler, but the right line depends on worker count, task grain and
+//! offered mix; the controller here measures what the SLO actually cares
+//! about: the delay between a task's admission and its first dispatch
+//! (`RuntimeConfig::shed_delay_budget`). When the smoothed
 //! delay crosses the configured budget the runtime starts shedding
 //! sheddable (BestEffort) admissions; when it falls back below half the
 //! budget, shedding disengages. The hysteresis gap keeps the controller

@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::criticality::CRITICALITY_THRESHOLD;
 use crate::fault::{
     FaultPlan, FaultReport, InjectedFault, RetryPolicy, TaskError, TaskFailure, WatchdogConfig,
 };
@@ -59,9 +60,7 @@ use crate::scheduler::{QosClass, ReadyQueues, ReadyTask, SchedulerPolicy};
 use crate::stats::{
     ContentionReport, RuntimeStats, StatsSnapshot, StripedGauge, RETRY_HIST_BUCKETS,
 };
-use crate::task::{
-    Criticality, ExecBody, SlotState, TaskBody, TaskId, TaskMeta, TaskRef, TaskSlab,
-};
+use crate::task::{Criticality, ExecBody, SlotState, TaskId, TaskMeta, TaskRef, TaskSlab};
 use crate::telemetry::{
     detect, SamplerShared, TelemetryDelta, TelemetrySnapshot, TenantTelemetry, TriggerRules,
     SAMPLE_INTERVAL,
@@ -204,12 +203,6 @@ pub struct RuntimeConfig {
     /// [`crate::program::emit`]. Retrieve with [`Runtime::program`].
     /// Off by default.
     pub record_program: bool,
-    /// An `Auto` task is critical when its bottom level reaches this
-    /// fraction of the longest one seen in its job (the rule of
-    /// [`crate::criticality::OnlineCriticality`]), decided once, when
-    /// the task becomes ready. Levels are exact within a `spawn_many`
-    /// batch, one hop deep across batches and for single spawns.
-    pub criticality_threshold: f64,
     /// Optional execution observer (see [`TaskObserver`]).
     pub observer: Option<Arc<dyn TaskObserver>>,
     /// Retry policy for idempotent tasks (default: no retry).
@@ -229,17 +222,12 @@ pub struct RuntimeConfig {
     /// Cap on concurrently live jobs accepted by [`Runtime::submit`]
     /// (default: unbounded; the implicit default job is not counted).
     pub max_jobs: Option<usize>,
-    /// Load-shedding watermark: once the global in-flight count reaches
-    /// it, tasks of [`QosClass::BestEffort`] jobs are dropped at
-    /// admission (default: never shed).
-    pub shed_watermark: Option<usize>,
     /// Adaptive overload control (default: off). When set, the runtime
     /// smooths each task's admission→first-dispatch delay and sheds
     /// [`QosClass::BestEffort`] admissions while the smoothed delay
     /// exceeds this budget (recovering hysteretically below half of it;
-    /// see [`crate::overload::ShedController`]). Unlike
-    /// [`RuntimeConfig::shed_watermark`], the trigger tracks what an SLO
-    /// cares about — queueing delay — instead of a fixed in-flight count.
+    /// see [`crate::overload::ShedController`]). The trigger tracks what
+    /// an SLO cares about — queueing delay — not an in-flight count.
     pub shed_delay_budget: Option<Duration>,
     /// Straggler hedging (default: off). When set, a worker stuck on one
     /// *idempotent* task longer than `max(soft_timeout, 4 × the job's
@@ -271,7 +259,6 @@ impl std::fmt::Debug for RuntimeConfig {
             .field("topology", &self.topology)
             .field("record_graph", &self.record_graph)
             .field("record_program", &self.record_program)
-            .field("criticality_threshold", &self.criticality_threshold)
             .field("observer", &self.observer.is_some())
             .field("retry", &self.retry)
             .field("fault_plan", &self.fault_plan.is_some())
@@ -279,7 +266,6 @@ impl std::fmt::Debug for RuntimeConfig {
             .field("trace", &self.trace)
             .field("max_in_flight", &self.max_in_flight)
             .field("max_jobs", &self.max_jobs)
-            .field("shed_watermark", &self.shed_watermark)
             .field("shed_delay_budget", &self.shed_delay_budget)
             .field("soft_timeout", &self.soft_timeout)
             .field("telemetry", &self.telemetry)
@@ -297,7 +283,6 @@ impl Default for RuntimeConfig {
             topology: None,
             record_graph: false,
             record_program: false,
-            criticality_threshold: 0.9,
             observer: None,
             retry: RetryPolicy::default(),
             fault_plan: None,
@@ -305,7 +290,6 @@ impl Default for RuntimeConfig {
             trace: None,
             max_in_flight: None,
             max_jobs: None,
-            shed_watermark: None,
             shed_delay_budget: None,
             soft_timeout: None,
             telemetry: false,
@@ -381,29 +365,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Per-task retry budget for idempotent tasks: `retries`
-    /// re-executions after the first attempt (0 disables retry, the
-    /// default). Shorthand for `retry(RetryPolicy::retries(..))` that
-    /// keeps the default backoff.
-    pub fn retry_budget(mut self, retries: u32) -> Self {
-        self.retry.max_attempts = retries + 1;
-        self
-    }
-
-    /// Override the watchdog's stall timeout in place (a busy worker
-    /// whose heartbeat is frozen this long counts as stalled). Composes
-    /// with [`RuntimeConfig::watchdog`] in either order.
-    pub fn stall_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.watchdog = self.watchdog.stall_timeout(timeout);
-        self
-    }
-
-    /// Override the watchdog's heartbeat monitor period in place.
-    pub fn heartbeat_interval(mut self, interval: std::time::Duration) -> Self {
-        self.watchdog = self.watchdog.interval(interval);
-        self
-    }
-
     /// Builder-style global in-flight task cap (>= 1).
     pub fn max_in_flight(mut self, cap: usize) -> Self {
         assert!(cap >= 1, "a zero cap would admit nothing");
@@ -414,12 +375,6 @@ impl RuntimeConfig {
     /// Builder-style cap on concurrently live submitted jobs.
     pub fn max_jobs(mut self, cap: usize) -> Self {
         self.max_jobs = Some(cap);
-        self
-    }
-
-    /// Builder-style best-effort shed watermark.
-    pub fn shed_watermark(mut self, watermark: usize) -> Self {
-        self.shed_watermark = Some(watermark);
         self
     }
 
@@ -496,6 +451,12 @@ impl Ord for ReapAt {
 /// idle-poll cost negligible.
 const QUIESCE_POLL: Duration = Duration::from_micros(200);
 
+/// [`CRITICALITY_THRESHOLD`] in thousandths, the form `Shared::release`
+/// compares bottom levels in (as [`OnlineCriticality`] does).
+///
+/// [`OnlineCriticality`]: crate::criticality::OnlineCriticality
+const CRIT_PERMILLE: u128 = (CRITICALITY_THRESHOLD * 1000.0) as u128;
+
 struct Shared {
     slab: TaskSlab,
     tracker: crate::deps::ShardedDepTracker,
@@ -541,8 +502,8 @@ struct Shared {
     /// Set by a forced drain: the pool is shutting down without joining,
     /// and every waiter must stop blocking on the outstanding count.
     terminated: AtomicBool,
-    /// Non-exempt tasks currently admitted, maintained only when a
-    /// global cap or shed watermark is configured (`track_admitted`).
+    /// Non-exempt tasks currently admitted, maintained only when
+    /// [`RuntimeConfig::max_in_flight`] is set (`track_admitted`).
     admitted: AtomicU64,
     track_admitted: bool,
     admission_lock: Mutex<()>,
@@ -555,9 +516,6 @@ struct Shared {
     /// Measured durations + reference streams when
     /// [`RuntimeConfig::record_program`] is on.
     capture: Option<ProgramCapture>,
-    /// Online criticality threshold in thousandths (bottom levels live
-    /// in the slab, the longest one seen in each job's state).
-    crit_permille: u64,
     /// Event tracer, when [`RuntimeConfig::trace`] is set.
     tracer: Option<Arc<Tracer>>,
     /// Adaptive overload controller, when
@@ -687,7 +645,7 @@ impl Shared {
     fn release(&self, st: &mut SlotState, slot: u32, gen: u64, body: ExecBody) -> ReadyTask {
         if st.criticality == Criticality::Auto {
             let max_bl = self.job_of(&st.job).max_bl.load(Ordering::Relaxed) as u128;
-            st.criticality = if st.bl as u128 * 1000 >= self.crit_permille as u128 * max_bl {
+            st.criticality = if st.bl as u128 * 1000 >= CRIT_PERMILLE * max_bl {
                 Criticality::Critical
             } else {
                 Criticality::NonCritical
@@ -1415,14 +1373,13 @@ impl Runtime {
             lifecycle: AtomicU8::new(LIFECYCLE_RUNNING),
             terminated: AtomicBool::new(false),
             admitted: AtomicU64::new(0),
-            track_admitted: config.max_in_flight.is_some() || config.shed_watermark.is_some(),
+            track_admitted: config.max_in_flight.is_some(),
             admission_lock: Mutex::new(()),
             admission_cv: Condvar::new(),
             admission_waiters: AtomicUsize::new(0),
             recorded: (config.record_graph || config.record_program)
                 .then(|| Mutex::new(Vec::new())),
             capture: config.record_program.then(ProgramCapture::default),
-            crit_permille: (config.criticality_threshold * 1000.0).round() as u64,
             tracer: tracer.clone(),
             shed: config
                 .shed_delay_budget
@@ -1529,23 +1486,8 @@ impl Runtime {
     /// label is borrowed and an owned `String` moved all the way into
     /// the task's slot — neither is copied.
     pub fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_> {
-        TaskBuilder {
-            rt: self,
-            job: &self.shared.default_job,
-            meta: TaskMeta::labelled(label),
-            body: None,
-        }
-    }
-
-    /// Submit a task with explicit metadata and a one-shot body. Usually
-    /// reached via [`Runtime::task`].
-    pub fn spawn_task(&self, meta: TaskMeta, body: TaskBody) -> TaskId {
-        self.spawn_exec(meta, ExecBody::Once(Some(body)))
-    }
-
-    /// Submit a task with explicit metadata and executable payload.
-    pub fn spawn_exec(&self, meta: TaskMeta, body: ExecBody) -> TaskId {
-        self.spawn_blocking(&self.shared.default_job, meta, body)
+        let job = &self.shared.default_job;
+        Task::labelled(Attached { rt: self, job }, label)
     }
 
     /// Blocking spawn into `job`: waits out [`AdmissionError::Busy`];
@@ -1751,16 +1693,10 @@ impl Runtime {
         if job.cancelled.load(Ordering::SeqCst) {
             return Err(AdmissionError::Cancelled);
         }
-        if job.qos.sheddable() {
-            let over_watermark = self
-                .config
-                .shed_watermark
-                .is_some_and(|wm| shared.admitted.load(Ordering::SeqCst) >= wm as u64);
-            if over_watermark || shared.shed.as_ref().is_some_and(|ctl| ctl.should_shed()) {
-                shared.stats.tasks_shed.fetch_add(n, Ordering::Relaxed);
-                job.shed.fetch_add(n, Ordering::Relaxed);
-                return Err(AdmissionError::Shed);
-            }
+        if job.qos.sheddable() && shared.shed.as_ref().is_some_and(|ctl| ctl.should_shed()) {
+            shared.stats.tasks_shed.fetch_add(n, Ordering::Relaxed);
+            job.shed.fetch_add(n, Ordering::Relaxed);
+            return Err(AdmissionError::Shed);
         }
         // Per-job reservation. The default job is exempt: it has no
         // handle, so nothing can join, cap or inspect it — skipping its
@@ -1811,8 +1747,6 @@ impl Runtime {
                 RuntimeStats::bump(&shared.stats.admission_rejected);
                 return Err(AdmissionError::Busy);
             }
-        } else if shared.track_admitted {
-            shared.admitted.fetch_add(n, Ordering::SeqCst);
         }
         // Cancellation re-check *after* both reservations: a cancel that
         // raced in between (e.g. the deadline reaper firing while a
@@ -2773,16 +2707,43 @@ impl Drop for Runtime {
     }
 }
 
-/// Fluent task construction: declare label, dependencies, cost hints and
-/// the body, then [`TaskBuilder::spawn`].
-pub struct TaskBuilder<'rt> {
-    rt: &'rt Runtime,
-    job: &'rt Arc<JobState>,
+/// A task declaration: label, dependencies, cost hints and the body.
+/// The scope `S` says where it goes: [`TaskBuilder`] is attached to a
+/// runtime and a job and ends in [`TaskBuilder::spawn`]; [`BatchTask`]
+/// is detached, one entry of a [`TaskScope::spawn_many`] batch.
+pub struct Task<S> {
+    scope: S,
     meta: TaskMeta,
     body: Option<ExecBody>,
 }
 
-impl<'rt> TaskBuilder<'rt> {
+/// Scope of a [`BatchTask`]: no runtime yet.
+pub struct Detached;
+
+/// Scope of a [`TaskBuilder`]: the runtime and job it spawns into.
+pub struct Attached<'rt> {
+    rt: &'rt Runtime,
+    job: &'rt Arc<JobState>,
+}
+
+/// Fluent task construction: declare label, dependencies, cost hints and
+/// the body, then [`TaskBuilder::spawn`].
+pub type TaskBuilder<'rt> = Task<Attached<'rt>>;
+
+/// One entry of a [`TaskScope::spawn_many`] batch: the same declaration
+/// surface as [`TaskBuilder`], detached from a runtime so whole
+/// subgraphs can be described up front and submitted in one pass.
+pub type BatchTask = Task<Detached>;
+
+impl<S> Task<S> {
+    fn labelled(scope: S, label: impl Into<Cow<'static, str>>) -> Self {
+        Task {
+            scope,
+            meta: TaskMeta::labelled(label),
+            body: None,
+        }
+    }
+
     /// Declare a read (`in`) dependency on a whole datum.
     pub fn reads<T: ?Sized>(mut self, h: &DataHandle<T>) -> Self {
         self.meta.accesses.push(Access {
@@ -2849,7 +2810,16 @@ impl<'rt> TaskBuilder<'rt> {
         self.body = Some(ExecBody::retryable(f));
         self
     }
+}
 
+impl BatchTask {
+    /// Begin describing a batch entry.
+    pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
+        Task::labelled(Detached, label)
+    }
+}
+
+impl TaskBuilder<'_> {
     /// Submit the task. Panics if no body was provided. Blocks while the
     /// job (or runtime) is at its in-flight cap; if the job was
     /// cancelled, the runtime is draining, or the task was shed, the
@@ -2857,7 +2827,8 @@ impl<'rt> TaskBuilder<'rt> {
     /// never runs). Use [`TaskBuilder::try_spawn`] to observe refusals.
     pub fn spawn(self) -> TaskId {
         let body = self.body.expect("task needs a body before spawn()");
-        self.rt.spawn_blocking(self.job, self.meta, body)
+        let Attached { rt, job } = self.scope;
+        rt.spawn_blocking(job, self.meta, body)
     }
 
     /// Submit the task without blocking: admission refusals (including
@@ -2865,89 +2836,8 @@ impl<'rt> TaskBuilder<'rt> {
     /// or silently discarding. Panics if no body was provided.
     pub fn try_spawn(self) -> Result<TaskId, AdmissionError> {
         let body = self.body.expect("task needs a body before try_spawn()");
-        self.rt.spawn_job(self.job, self.meta, body, false)
-    }
-}
-
-/// One entry of a [`TaskScope::spawn_many`] batch: the same declaration
-/// surface as [`TaskBuilder`], detached from a runtime so whole
-/// subgraphs can be described up front and submitted in one pass.
-pub struct BatchTask {
-    meta: TaskMeta,
-    body: Option<ExecBody>,
-}
-
-impl BatchTask {
-    /// Begin describing a batch entry.
-    pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
-        BatchTask {
-            meta: TaskMeta::labelled(label),
-            body: None,
-        }
-    }
-
-    /// Declare a read (`in`) dependency on a whole datum.
-    pub fn reads<T: ?Sized>(mut self, h: &DataHandle<T>) -> Self {
-        self.meta.accesses.push(Access {
-            region: h.region(),
-            mode: AccessMode::Read,
-        });
-        self
-    }
-
-    /// Declare a write (`out`) dependency on a whole datum.
-    pub fn writes<T: ?Sized>(mut self, h: &DataHandle<T>) -> Self {
-        self.meta.accesses.push(Access {
-            region: h.region(),
-            mode: AccessMode::Write,
-        });
-        self
-    }
-
-    /// Declare an `inout` dependency on a whole datum.
-    pub fn updates<T: ?Sized>(mut self, h: &DataHandle<T>) -> Self {
-        self.meta.accesses.push(Access {
-            region: h.region(),
-            mode: AccessMode::ReadWrite,
-        });
-        self
-    }
-
-    /// Declare a dependency on an explicit region (e.g. a block).
-    pub fn region(mut self, region: Region, mode: AccessMode) -> Self {
-        self.meta.accesses.push(Access { region, mode });
-        self
-    }
-
-    /// Cost hint in abstract work units (used by criticality analysis).
-    pub fn cost(mut self, cost: u64) -> Self {
-        self.meta.cost = cost;
-        self
-    }
-
-    /// Scheduling priority (higher runs earlier among ready tasks).
-    pub fn priority(mut self, priority: i32) -> Self {
-        self.meta.priority = priority;
-        self
-    }
-
-    /// Explicit criticality annotation.
-    pub fn criticality(mut self, c: Criticality) -> Self {
-        self.meta.criticality = c;
-        self
-    }
-
-    /// The task body (one-shot; never re-executed).
-    pub fn body(mut self, f: impl FnOnce() + Send + 'static) -> Self {
-        self.body = Some(ExecBody::once(f));
-        self
-    }
-
-    /// An idempotent task body (safe for the retry policy to re-run).
-    pub fn idempotent(mut self, f: impl Fn() + Send + Sync + 'static) -> Self {
-        self.meta.idempotent = true;
-        self.body = Some(ExecBody::retryable(f));
-        self
+        let Attached { rt, job } = self.scope;
+        rt.spawn_job(job, self.meta, body, false)
     }
 }
 
@@ -2983,12 +2873,8 @@ impl<'rt> JobHandle<'rt> {
 
     /// Begin building a task inside this job.
     pub fn task(&self, label: impl Into<Cow<'static, str>>) -> TaskBuilder<'_> {
-        TaskBuilder {
-            rt: self.rt,
-            job: &self.job,
-            meta: TaskMeta::labelled(label),
-            body: None,
-        }
+        let (rt, job) = (self.rt, &self.job);
+        Task::labelled(Attached { rt, job }, label)
     }
 
     /// Register a datum for dependency tracking (regions are global, so
@@ -3372,32 +3258,6 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 64);
         assert_eq!(rt.stats().edges, 0);
         assert_eq!(rt.stats().ready_at_spawn, 64);
-    }
-
-    #[test]
-    fn config_conveniences_map_to_policy_and_watchdog() {
-        let c = RuntimeConfig::with_workers(2)
-            .retry_budget(3)
-            .stall_timeout(std::time::Duration::from_millis(60))
-            .heartbeat_interval(std::time::Duration::from_millis(5));
-        assert_eq!(c.retry.max_attempts, 4);
-        assert_eq!(
-            c.retry.backoff_base,
-            RetryPolicy::default().backoff_base,
-            "shorthand keeps default backoff"
-        );
-        assert_eq!(
-            c.watchdog.stall_timeout,
-            std::time::Duration::from_millis(60)
-        );
-        assert_eq!(c.watchdog.interval, std::time::Duration::from_millis(5));
-        // Defaults unchanged when the conveniences are not used.
-        let d = RuntimeConfig::with_workers(1);
-        assert_eq!(d.retry.max_attempts, 1);
-        assert_eq!(
-            d.watchdog.stall_timeout,
-            std::time::Duration::from_millis(100)
-        );
     }
 
     #[test]

@@ -114,9 +114,9 @@ pub enum SchedulerPolicy {
 ///
 /// * [`QosClass::Guaranteed`] tasks are always admitted (subject only to
 ///   the configured in-flight caps) and keep their computed criticality.
-/// * [`QosClass::BestEffort`] tasks are load-shed once the runtime's
-///   global in-flight count reaches the configured shed watermark, and
-///   are always scheduled as non-critical — under
+/// * [`QosClass::BestEffort`] tasks are load-shed while the runtime's
+///   overload controller is engaged (`RuntimeConfig::shed_delay_budget`),
+///   and are always scheduled as non-critical — under
 ///   [`SchedulerPolicy::CriticalityAware`] they are served by the slow
 ///   workers and never displace guaranteed work from the fast ones.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]

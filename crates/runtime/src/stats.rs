@@ -276,7 +276,7 @@ pub struct RuntimeStats {
     pub jobs_submitted: AtomicU64,
     /// Jobs cancelled (explicitly or by `Runtime::drain`).
     pub jobs_cancelled: AtomicU64,
-    /// Best-effort tasks dropped at the shed watermark.
+    /// Best-effort tasks dropped at admission by the shed controller.
     pub tasks_shed: AtomicU64,
     /// Tasks that settled as skipped because their job was cancelled
     /// (subset of `failed_tasks`).
@@ -352,7 +352,7 @@ pub struct StatsSnapshot {
     pub jobs_submitted: u64,
     /// Jobs cancelled (explicitly or by `Runtime::drain`).
     pub jobs_cancelled: u64,
-    /// Best-effort tasks dropped at the shed watermark.
+    /// Best-effort tasks dropped at admission by the shed controller.
     pub tasks_shed: u64,
     /// Tasks settled as skipped because their job was cancelled.
     pub tasks_cancelled: u64,

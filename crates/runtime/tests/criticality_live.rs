@@ -10,11 +10,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use raa_runtime::criticality::OnlineCriticality;
+use raa_runtime::criticality::{OnlineCriticality, CRITICALITY_THRESHOLD};
 use raa_runtime::graph::generators::{annotated_chain_with_fans, chain_with_fans, random_layered};
 use raa_runtime::{
-    BatchTask, Criticality, DataHandle, JobSpec, QosClass, Runtime, RuntimeConfig, TaskGraph,
-    TaskId, TaskObserver, TaskProgram,
+    BatchTask, Criticality, DataHandle, JobSpec, QosClass, RetryPolicy, Runtime, RuntimeConfig,
+    TaskGraph, TaskId, TaskObserver, TaskProgram,
 };
 
 /// Every `on_start`, in arrival order.
@@ -72,7 +72,6 @@ fn one_batch_is_classified_exactly_as_the_oracle_classifies_it() {
         let config = RuntimeConfig::with_workers(2)
             .record_graph(true)
             .observer(starts.clone());
-        let threshold = config.criticality_threshold;
         let rt = Runtime::new(config);
         let ids = rt.spawn_many(batch_of(&g));
         rt.taskwait();
@@ -80,7 +79,7 @@ fn one_batch_is_classified_exactly_as_the_oracle_classifies_it() {
         // The oracle sees the tracker's edges, not the generator's.
         let recorded = rt.graph().expect("record_graph is on");
         assert_eq!(recorded.len(), g.len());
-        let mut oracle = OnlineCriticality::new(threshold);
+        let mut oracle = OnlineCriticality::new(CRITICALITY_THRESHOLD);
         for n in recorded.nodes() {
             oracle.submit(n.id, n.meta.cost, &n.preds);
         }
@@ -228,7 +227,7 @@ fn retries_and_hedges_report_the_first_decision_again() {
     let starts = Arc::new(Starts::default());
     let rt = Runtime::new(
         RuntimeConfig::with_workers(2)
-            .retry_budget(2)
+            .retry(RetryPolicy::retries(2))
             .observer(starts.clone()),
     );
     let x = rt.register("x", 0u64);

@@ -133,37 +133,6 @@ fn try_spawn_surfaces_busy_at_the_cap() {
 }
 
 #[test]
-fn best_effort_tasks_shed_at_the_watermark() {
-    let rt = Runtime::new(RuntimeConfig::with_workers(2).shed_watermark(1));
-    let guaranteed = rt.submit(JobSpec::new("vip")).expect("runtime is running");
-    let best_effort = rt
-        .submit(JobSpec::new("spot").qos(QosClass::BestEffort))
-        .expect("runtime is running");
-    let gate = Arc::new(AtomicU64::new(0));
-    {
-        let gate = Arc::clone(&gate);
-        guaranteed
-            .task("holder")
-            .body(move || {
-                while gate.load(Ordering::SeqCst) == 0 {
-                    std::thread::yield_now();
-                }
-            })
-            .spawn();
-    }
-    // Global load sits at the watermark: best-effort work is shed...
-    let refused = best_effort.task("spot-task").body(|| {}).try_spawn();
-    assert_eq!(refused.unwrap_err(), AdmissionError::Shed);
-    // ...while guaranteed work is still admitted.
-    assert!(guaranteed.task("vip-task").body(|| {}).try_spawn().is_ok());
-    gate.store(1, Ordering::SeqCst);
-    assert!(guaranteed.try_join().is_ok());
-    assert!(best_effort.try_join().is_ok());
-    assert_eq!(best_effort.job_stats().spawned, 0);
-    assert!(rt.stats().tasks_shed >= 1);
-}
-
-#[test]
 fn cancel_skips_queued_tasks_and_reports_them() {
     let rt = Runtime::new(RuntimeConfig::with_workers(2));
     let job = rt
