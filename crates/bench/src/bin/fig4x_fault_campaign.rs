@@ -34,7 +34,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use raa_bench::{fmt_pct, rule, scale_from_env};
+use raa_bench::{env_u64, fmt_pct, rel_residual, rule, scale_from_env};
 use raa_runtime::{FaultPlan, RetryPolicy, Runtime, RuntimeConfig, WatchdogConfig};
 use raa_solver::afeir_tasks::{cg_afeir_tasks, AfeirTasksCfg};
 use raa_solver::cg::{cg_tasks, try_cg_tasks};
@@ -49,27 +49,8 @@ const MAX_ITERS: usize = 5_000;
 /// Per-attempt panic probabilities swept in campaign 1.
 const RATES: &[f64] = &[0.0, 0.01, 0.05, 0.10, 0.20];
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn retry_policy() -> RetryPolicy {
     RetryPolicy::retries(2).backoff(Duration::from_micros(50), 2.0, Duration::from_millis(1))
-}
-
-/// Relative residual ‖b − A·x‖ / ‖b‖ of a candidate solution.
-fn rel_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
-    let mut ax = vec![0.0; b.len()];
-    a.spmv(x, &mut ax);
-    let (mut rr, mut bb) = (0.0, 0.0);
-    for i in 0..b.len() {
-        rr += (b[i] - ax[i]) * (b[i] - ax[i]);
-        bb += b[i] * b[i];
-    }
-    (rr / bb.max(f64::MIN_POSITIVE)).sqrt()
 }
 
 fn main() {

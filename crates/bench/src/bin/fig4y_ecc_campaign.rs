@@ -38,7 +38,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use raa_bench::{rule, scale_from_env};
+use raa_bench::{env_u64, rel_residual, rule, scale_from_env};
 use raa_core::MceRouter;
 use raa_runtime::{Runtime, RuntimeConfig};
 use raa_sim::energy::{EnergyBreakdown, EnergyModel};
@@ -53,25 +53,6 @@ const WORKERS: usize = 3;
 const BLOCKS: usize = 8;
 const TOL: f64 = 1e-8;
 const MAX_ITERS: usize = 5_000;
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Relative true residual ‖b − A·x‖ / ‖b‖.
-fn rel_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
-    let mut ax = vec![0.0; b.len()];
-    a.spmv(x, &mut ax);
-    let (mut rr, mut bb) = (0.0, 0.0);
-    for i in 0..b.len() {
-        rr += (b[i] - ax[i]) * (b[i] - ax[i]);
-        bb += b[i] * b[i];
-    }
-    (rr / bb.max(f64::MIN_POSITIVE)).sqrt()
-}
 
 fn main() {
     let scale = scale_from_env();

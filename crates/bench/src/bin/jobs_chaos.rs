@@ -33,7 +33,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use raa_bench::{rule, scale_from_env};
+use raa_bench::{env_u64, rule, scale_from_env};
 use raa_runtime::{
     FaultPlan, JobSpec, QosClass, RetryPolicy, Runtime, RuntimeConfig, WatchdogConfig,
 };
@@ -50,13 +50,6 @@ const ROUNDS: usize = 2;
 const CHAIN: usize = 8;
 /// Chaos tenant's in-flight cap (its spawner must block, not flood).
 const CHAOS_CAP: usize = 8;
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Run the doomed tenant's workload: `ROUNDS` rounds of a write chain
 /// feeding a read fan-out over its own registered data. Every attempt

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use raa_bench::{arg_value, rule, scale_from_env, spawn_cg_shape};
+use raa_bench::{arg_value, env_u64, rule, scale_from_env, spawn_cg_shape};
 use raa_runtime::{
     prometheus_text, telemetry_json, AdmissionError, FaultPlan, FlightBundle, FlightReason,
     JobSpec, QosClass, Runtime, RuntimeConfig, WatchdogConfig,
@@ -86,13 +86,6 @@ const STRAGGLER_FIRST_RUN: Duration = Duration::from_millis(120);
 /// Doomed tenants (chaos mode): head blocks past the job deadline.
 const DOOMED_JOBS: usize = 2;
 const DOOMED_HEAD: Duration = Duration::from_millis(30);
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 // ---------------------------------------------------------------- load
 

@@ -34,13 +34,6 @@ use raa_runtime::{
     SchedulerPolicy, Topology, TraceConfig, TraceEventKind,
 };
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Offline report from a telemetry-plane Prometheus exposition.
 fn report_from_telemetry(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
@@ -137,6 +130,7 @@ fn main() {
         report_from_telemetry(&path);
         return;
     }
+    let env_usize = |key, default: usize| raa_bench::env_u64(key, default as u64) as usize;
     let target = env_usize("RAA_BENCH_TASKS", 20_000);
     let workers = env_usize("RAA_TRACE_WORKERS", 4).max(1);
     // Cluster the pool for the per-cluster contention section:

@@ -7,6 +7,7 @@
 //! default `standard` — the Fig. 1 configuration).
 
 use raa_runtime::{AccessMode, BatchTask, TaskScope};
+use raa_solver::csr::Csr;
 use raa_workloads::Scale;
 
 pub mod fig6;
@@ -106,14 +107,50 @@ fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
     }
 }
 
-/// Problem scale from the environment; a value that names no scale ends
-/// the process with status 2 rather than running the largest size.
-pub fn scale_from_env() -> Scale {
-    let value = std::env::var_os("RAA_SCALE").map(|v| v.to_string_lossy().into_owned());
-    parse_scale(value.as_deref()).unwrap_or_else(|e| {
+/// `key`'s value (`None`: unset) through `parse`; a refused value ends
+/// the process with status 2 and `parse`'s message on stderr, so a typo
+/// never runs as the default.
+fn env_or_exit<T>(key: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let value = std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+    parse(value.as_deref()).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     })
+}
+
+/// Problem scale from the environment; a value that names no scale ends
+/// the process with status 2 rather than running the largest size.
+pub fn scale_from_env() -> Scale {
+    env_or_exit("RAA_SCALE", parse_scale)
+}
+
+/// The unsigned integer `key` is set to (`None`: unset, so `default`).
+fn parse_u64(key: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            format!("{key}={v}: expected an unsigned integer (unset means {default})")
+        }),
+    }
+}
+
+/// Unsigned integer knob (seed, trial count, size) from the environment;
+/// a value that does not parse ends the process with status 2 rather
+/// than running the default under the wrong name.
+pub fn env_u64(key: &str, default: u64) -> u64 {
+    env_or_exit(key, |value| parse_u64(key, value, default))
+}
+
+/// Relative true residual ‖b − A·x‖ / ‖b‖ of a candidate solution.
+pub fn rel_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
+    let mut ax = vec![0.0; b.len()];
+    a.spmv(x, &mut ax);
+    let (mut rr, mut bb) = (0.0, 0.0);
+    for i in 0..b.len() {
+        rr += (b[i] - ax[i]) * (b[i] - ax[i]);
+        bb += b[i] * b[i];
+    }
+    (rr / bb.max(f64::MIN_POSITIVE)).sqrt()
 }
 
 /// Print a horizontal rule sized to `width`.
@@ -161,6 +198,21 @@ mod tests {
         for bad in ["smal", "", "Test", "standard "] {
             let err = parse_scale(Some(bad)).expect_err(bad);
             assert!(err.contains("test, small or standard"), "{err}");
+        }
+    }
+
+    #[test]
+    fn integer_knobs_parse_and_a_typo_is_refused() {
+        assert_eq!(parse_u64("RAA_FAULT_SEED", None, 42), Ok(42));
+        assert_eq!(parse_u64("RAA_FAULT_SEED", Some("7"), 42), Ok(7));
+        assert_eq!(
+            parse_u64("K", Some("18446744073709551615"), 0),
+            Ok(u64::MAX)
+        );
+        for bad in ["4x2", "", " 42", "-1", "4.2", "18446744073709551616"] {
+            let err = parse_u64("RAA_FAULT_SEED", Some(bad), 42).expect_err(bad);
+            assert!(err.starts_with(&format!("RAA_FAULT_SEED={bad}:")), "{err}");
+            assert!(err.contains("unset means 42"), "{err}");
         }
     }
 

@@ -765,16 +765,64 @@ impl Shared {
                 job: job.label.clone(),
             });
         }
-        if !job.qos.sheddable() {
-            return;
+        if job.qos.sheddable() {
+            self.cancel_job(&job);
         }
-        if job.cancel() {
+    }
+
+    /// Cancel `job` and, on the first cancel only, broadcast it: count
+    /// it, raise `any_cancelled` for the dispatch path, and wake spawners
+    /// blocked in admission so they observe the flag. True on the first
+    /// call for this job.
+    fn cancel_job(&self, job: &JobState) -> bool {
+        let first = job.cancel();
+        if first {
             RuntimeStats::bump(&self.stats.jobs_cancelled);
             self.any_cancelled.store(true, Ordering::SeqCst);
             fence(Ordering::SeqCst);
             let _g = self.admission_lock.lock();
             self.admission_cv.notify_all();
         }
+        first
+    }
+
+    /// Bounded poll for global quiescence; true once nothing is
+    /// outstanding. False when `deadline` passes first, or when the
+    /// runtime was force-terminated: no worker is left to settle what
+    /// remains, so waiting longer cannot help.
+    fn wait_outstanding(&self, deadline: Option<Instant>) -> bool {
+        let mut g = self.wait.lock();
+        while self.outstanding.read() > 0 {
+            let now = Instant::now();
+            if self.terminated.load(Ordering::SeqCst) || deadline.is_some_and(|d| now >= d) {
+                return false;
+            }
+            // Bounded: completions never notify (striped counter).
+            let poll = now + QUIESCE_POLL;
+            self.wait_cv
+                .wait_until(&mut g, deadline.map_or(poll, |d| d.min(poll)));
+        }
+        true
+    }
+
+    /// The runtime's own counters merged with the pool's worker fault and
+    /// park/wake counters and the scheduler's steal/overflow counters —
+    /// the one place a [`StatsSnapshot`] is completed, for
+    /// [`Runtime::stats`] and the telemetry snapshot alike.
+    fn merged_stats(&self, queues: &ReadyQueues, pool: &PoolStatsHandle) -> StatsSnapshot {
+        let mut stats = self.stats.snapshot();
+        let pf = pool.fault_stats();
+        stats.worker_deaths = pf.worker_deaths;
+        stats.worker_respawns = pf.worker_respawns;
+        stats.worker_stalls = pf.worker_stalls;
+        let (steals_ok, steals_empty, injector_overflow) = queues.contention_counters();
+        stats.steals_ok = steals_ok;
+        stats.steals_empty = steals_empty;
+        stats.injector_overflow = injector_overflow;
+        let (parks, wakes) = pool.park_stats();
+        stats.parks = parks;
+        stats.wakes = wakes;
+        stats
     }
 }
 
@@ -824,18 +872,7 @@ fn assemble_snapshot(
         .telemetry
         .as_ref()
         .expect("snapshot assembly requires the telemetry plane");
-    let mut stats = shared.stats.snapshot();
-    let pf = pool.fault_stats();
-    stats.worker_deaths = pf.worker_deaths;
-    stats.worker_respawns = pf.worker_respawns;
-    stats.worker_stalls = pf.worker_stalls;
-    let (steals_ok, steals_empty, injector_overflow) = queues.contention_counters();
-    stats.steals_ok = steals_ok;
-    stats.steals_empty = steals_empty;
-    stats.injector_overflow = injector_overflow;
-    let (parks, wakes) = pool.park_stats();
-    stats.parks = parks;
-    stats.wakes = wakes;
+    let stats = shared.merged_stats(queues, pool);
     let (slab_local_frees, slab_remote_frees) = shared.slab.free_stats();
     let shed = shared
         .shed
@@ -2182,15 +2219,7 @@ impl Runtime {
     /// job's* fault domain; submitted jobs report through
     /// `JobHandle::try_join`.
     pub fn try_taskwait(&self) -> Result<(), FaultReport> {
-        {
-            let mut g = self.shared.wait.lock();
-            while self.shared.outstanding.read() > 0
-                && !self.shared.terminated.load(Ordering::SeqCst)
-            {
-                // Bounded: completions never notify (striped counter).
-                self.shared.wait_cv.wait_for(&mut g, QUIESCE_POLL);
-            }
-        }
+        self.shared.wait_outstanding(None);
         // Quiescent: the next phase is a new TDG with its own longest path.
         self.shared.default_job.max_bl.store(0, Ordering::Relaxed);
         self.shared.default_job.take_report()
@@ -2269,19 +2298,8 @@ impl Runtime {
     /// Runtime counters snapshot, including the pool's worker fault and
     /// park/wake counters and the scheduler's steal/overflow counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.shared.stats.snapshot();
-        let pf = self.pool.fault_stats();
-        snap.worker_deaths = pf.worker_deaths;
-        snap.worker_respawns = pf.worker_respawns;
-        snap.worker_stalls = pf.worker_stalls;
-        let (steals_ok, steals_empty, injector_overflow) = self.queues.contention_counters();
-        snap.steals_ok = steals_ok;
-        snap.steals_empty = steals_empty;
-        snap.injector_overflow = injector_overflow;
-        let (parks, wakes) = self.pool.park_stats();
-        snap.parks = parks;
-        snap.wakes = wakes;
-        snap
+        self.shared
+            .merged_stats(&self.queues, &self.pool.stats_handle())
     }
 
     /// Where the scaling bottlenecks are: per-victim steal hit rates,
@@ -2567,23 +2585,6 @@ impl Runtime {
         true
     }
 
-    /// Wait for global quiescence until `deadline`; false on expiry.
-    fn wait_outstanding_until(&self, deadline: Instant) -> bool {
-        let shared = &*self.shared;
-        let mut g = shared.wait.lock();
-        while shared.outstanding.read() > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            // Bounded: completions never notify (striped counter).
-            shared
-                .wait_cv
-                .wait_until(&mut g, deadline.min(now + QUIESCE_POLL));
-        }
-        true
-    }
-
     /// Wind the runtime down within `timeout`, in three phases:
     ///
     /// 1. **Graceful** — stop admitting new jobs (existing jobs may keep
@@ -2612,24 +2613,13 @@ impl Runtime {
         );
         let deadline = start + timeout;
         let grace = start + timeout.mul_f64(0.75);
-        let mut quiesced = self.wait_outstanding_until(grace);
+        let mut quiesced = shared.wait_outstanding(Some(grace));
         let mut cancelled_jobs = 0usize;
         if !quiesced {
             let jobs = shared.jobs.lock().live();
-            for job in &jobs {
-                if job.cancel() {
-                    cancelled_jobs += 1;
-                    RuntimeStats::bump(&shared.stats.jobs_cancelled);
-                }
-            }
-            shared.any_cancelled.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
+            cancelled_jobs = jobs.iter().filter(|job| shared.cancel_job(job)).count();
             self.pool.wake_all();
-            {
-                let _g = shared.admission_lock.lock();
-                shared.admission_cv.notify_all();
-            }
-            quiesced = self.wait_outstanding_until(deadline);
+            quiesced = shared.wait_outstanding(Some(deadline));
         }
         let forced = !quiesced;
         if forced {
@@ -2673,15 +2663,7 @@ impl Drop for Runtime {
         // not panic), then the pool's own Drop joins the workers. A
         // force-terminated runtime skips the wait: its queued tasks are
         // dropped with the queues.
-        {
-            let mut g = self.shared.wait.lock();
-            while self.shared.outstanding.read() > 0
-                && !self.shared.terminated.load(Ordering::SeqCst)
-            {
-                // Bounded: completions never notify (striped counter).
-                self.shared.wait_cv.wait_for(&mut g, QUIESCE_POLL);
-            }
-        }
+        self.shared.wait_outstanding(None);
         // Stop and join the deadline reaper (if it ever spawned): the
         // flag must be published under the reaper lock so a reaper
         // mid-wait cannot miss the notify.
@@ -2888,16 +2870,7 @@ impl<'rt> JobHandle<'rt> {
     /// released so the graph still quiesces). Tasks already executing
     /// run to completion. Returns true on the first call.
     pub fn cancel(&self) -> bool {
-        let first = self.job.cancel();
-        if first {
-            let shared = &*self.rt.shared;
-            RuntimeStats::bump(&shared.stats.jobs_cancelled);
-            shared.any_cancelled.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            let _g = shared.admission_lock.lock();
-            shared.admission_cv.notify_all();
-        }
-        first
+        self.rt.shared.cancel_job(&self.job)
     }
 
     /// Wait for every task in this job to settle, then report: `Ok` if

@@ -292,6 +292,34 @@ fn forced_drain_bounds_time_with_a_wedged_task() {
 }
 
 #[test]
+fn drain_after_a_forced_drain_does_not_wait_for_vanished_workers() {
+    let rt = Runtime::new(RuntimeConfig::with_workers(2));
+    let job = rt
+        .submit(JobSpec::new("wedged"))
+        .expect("runtime is running");
+    // Wedged until released below, so it is outstanding across both drains.
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    job.task("blocked")
+        .body(move || {
+            let _ = gate.recv();
+        })
+        .spawn();
+    let first = rt.drain(Duration::from_millis(100));
+    assert!(first.forced, "{first:?}");
+    // The pool is shut down: nothing can settle the wedged task, so the
+    // second drain has nothing to wait for and must say so at once
+    // rather than sleep its whole budget.
+    let second = rt.drain(Duration::from_secs(5));
+    assert!(second.forced && second.timed_out, "{second:?}");
+    assert!(second.outstanding_at_exit >= 1, "{second:?}");
+    assert_eq!(second.cancelled_jobs, 0, "{second:?}");
+    assert!(second.elapsed < Duration::from_secs(2), "{second:?}");
+    release
+        .send(())
+        .expect("the wedged body still holds the gate");
+}
+
+#[test]
 fn drain_survives_an_active_fault_plan_killing_workers() {
     // Satellite: a worker killed around drain time must not trigger a
     // respawn loop or hang the drain — the watchdog respawn gate and the

@@ -12,7 +12,10 @@
 //!   `c = A·1` (row sums = column sums for symmetric `A`), every product
 //!   `q = A·p` must satisfy `Σq = cᵀp`. An `abft` task computes both
 //!   sides each iteration, ordered between the SpMV and the `p` update
-//!   by ordinary region dependences.
+//!   by ordinary region dependences. It is the one task this module
+//!   adds to the shared CG program (`BlockedCg` in [`crate::cg`], which
+//!   declares the iteration's seven task kinds for all three drivers):
+//!   the program's `after_spmv` hook is where it is spawned.
 //! * **Running solution/residual checksums**: the CG updates imply
 //!   `Σx += α·Σp` and `Σr −= α·(cᵀp)` per iteration. The solver
 //!   maintains these *recurrences* and periodically compares them
@@ -47,8 +50,8 @@ use std::sync::Arc;
 
 use raa_runtime::{AccessMode, Runtime};
 
-use crate::blas::{axpy, block_ranges, dot, norm2, xpby};
-use crate::cg::CgScalars;
+use crate::blas::dot;
+use crate::cg::{rows, BlockedCg};
 use crate::csr::Csr;
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::recovery::recover_x_block;
@@ -126,6 +129,8 @@ pub struct AbftResult {
     pub checksum_checks: u64,
     /// True-residual probes performed.
     pub probes: u64,
+    /// Tasks this solve spawned and the dependency edges among them —
+    /// not the runtime's lifetime totals.
     pub tasks: u64,
     pub edges: u64,
 }
@@ -156,9 +161,6 @@ pub fn cg_abft_tasks(
     } = *cfg;
     assert!(check_every >= 1 && probe_every >= 1);
     let n = a.n();
-    assert_eq!(b.len(), n);
-    let ranges = block_ranges(n, blocks);
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
 
     // Column checksum c = A·1 (row sums; equal to column sums for the
     // symmetric matrices CG applies to).
@@ -170,13 +172,9 @@ pub fn cg_abft_tasks(
     };
     let colsum = Arc::new(colsum);
 
-    let x = rt.register("x", vec![0.0f64; n]);
-    let r = rt.register("r", b.to_vec());
-    let p = rt.register("p", b.to_vec());
-    let q = rt.register("q", vec![0.0f64; n]);
-    let pq_parts = rt.register("pq_parts", vec![0.0f64; blocks]);
-    let rr_parts = rt.register("rr_parts", vec![0.0f64; blocks]);
-    let scalars = rt.register("scalars", CgScalars::new(dot(b, b)));
+    let before = rt.stats();
+    let cg = BlockedCg::new(rt, Arc::clone(&a), b, blocks);
+    let (x, r, p, q, scalars) = (&cg.x, &cg.r, &cg.p, &cg.q, &cg.scalars);
     // (Σp, Σq, cᵀp) of the current iteration, filled by the abft task.
     let abft_sums = rt.register("abft_sums", [0.0f64; 3]);
     let b_vec = Arc::new(b.to_vec());
@@ -196,8 +194,8 @@ pub fn cg_abft_tasks(
 
     let mut injected = false;
     let mut iter = 0usize;
-    let mut rr = dot(b, b);
-    while iter < max_iters && rr.sqrt() / bnorm > tol {
+    let mut rr = scalars.read().rr;
+    while iter < max_iters && cg.rel(rr) > tol {
         // --- silent fault injection (the solver is NOT told) ---
         if let Some(f) = &fault {
             if !injected && iter == f.at_iter {
@@ -213,26 +211,11 @@ pub fn cg_abft_tasks(
             }
         }
 
-        // --- one blocked CG iteration (the cg_tasks structure) ---
-        for (bi, range) in ranges.iter().enumerate() {
-            let (a, p, q, range) = (Arc::clone(&a), p.clone(), q.clone(), range.clone());
-            rt.task(format!("spmv[{bi}]"))
-                .reads(&p)
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Write,
-                )
-                .idempotent(move || {
-                    let pv = p.read();
-                    let mut qv = q.write();
-                    a.spmv_rows(range.clone(), &pv, &mut qv);
-                })
-                .spawn();
-        }
-        // ABFT sums task: reads the full p and q of *this* iteration
-        // (after every spmv block, before update_p overwrites p — both
-        // orderings fall out of the region dependences).
-        {
+        // --- one blocked CG iteration, plus the ABFT sums task: it reads
+        // the full p and q of *this* iteration (after every spmv block,
+        // before update_p overwrites p — both orderings fall out of the
+        // region dependences).
+        cg.spawn_iteration(rt, || {
             let (p, q, sums, c) = (p.clone(), q.clone(), abft_sums.clone(), Arc::clone(&colsum));
             rt.task("abft")
                 .reads(&p)
@@ -247,124 +230,11 @@ pub fn cg_abft_tasks(
                     *sums.write() = [sp, sq, cp];
                 })
                 .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (p, q, parts, range) = (p.clone(), q.clone(), pq_parts.clone(), range.clone());
-            rt.task(format!("dot_pq[{bi}]"))
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(pq_parts.sub(bi as u64, bi as u64 + 1), AccessMode::Write)
-                .idempotent(move || {
-                    let pv = p.read();
-                    let qv = q.read();
-                    parts.write()[bi] = dot(&pv[range.clone()], &qv[range.clone()]);
-                })
-                .spawn();
-        }
-        {
-            let (parts, scalars) = (pq_parts.clone(), scalars.clone());
-            rt.task("alpha")
-                .reads(&pq_parts)
-                .updates(&scalars)
-                .idempotent(move || {
-                    let pq: f64 = parts.read().iter().sum();
-                    let mut s = scalars.write();
-                    s.alpha = s.rr / pq;
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (x, r, p, q, scalars, range) = (
-                x.clone(),
-                r.clone(),
-                p.clone(),
-                q.clone(),
-                scalars.clone(),
-                range.clone(),
-            );
-            rt.task(format!("update_xr[{bi}]"))
-                .reads(&scalars)
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    x.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .idempotent(move || {
-                    let alpha = scalars.read().alpha;
-                    let pv = p.read();
-                    let qv = q.read();
-                    axpy(alpha, &pv[range.clone()], &mut x.write()[range.clone()]);
-                    axpy(-alpha, &qv[range.clone()], &mut r.write()[range.clone()]);
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (r, parts, range) = (r.clone(), rr_parts.clone(), range.clone());
-            rt.task(format!("dot_rr[{bi}]"))
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(rr_parts.sub(bi as u64, bi as u64 + 1), AccessMode::Write)
-                .idempotent(move || {
-                    let rv = r.read();
-                    parts.write()[bi] = dot(&rv[range.clone()], &rv[range.clone()]);
-                })
-                .spawn();
-        }
-        {
-            let (parts, scalars) = (rr_parts.clone(), scalars.clone());
-            rt.task("beta")
-                .reads(&rr_parts)
-                .updates(&scalars)
-                .idempotent(move || {
-                    let rr_new: f64 = parts.read().iter().sum();
-                    let mut s = scalars.write();
-                    s.beta = rr_new / s.rr;
-                    s.rr = rr_new;
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (r, p, scalars, range) = (r.clone(), p.clone(), scalars.clone(), range.clone());
-            rt.task(format!("update_p[{bi}]"))
-                .reads(&scalars)
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .idempotent(move || {
-                    let beta = scalars.read().beta;
-                    let rv = r.read();
-                    xpby(&rv[range.clone()], beta, &mut p.write()[range.clone()]);
-                })
-                .spawn();
-        }
+        });
         // Quiescent boundary: the sentinel's inout on `scalars` orders it
         // after update_p (a scalars reader), which transitively closes
         // the whole iteration — host reads below are deterministic.
-        rt.taskwait_on(&scalars);
+        rt.taskwait_on(scalars);
         let (alpha, rr_new) = {
             let s = scalars.read();
             (s.alpha, s.rr)
@@ -437,7 +307,7 @@ pub fn cg_abft_tasks(
             (d, r_true)
         };
         let dmax = d.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let probe_hit = dmax > detect_tol * (1.0 + bnorm);
+        let probe_hit = dmax > detect_tol * (1.0 + cg.bnorm);
         if !(mx || mr || ms || probe_hit) {
             continue; // clean probe
         }
@@ -445,7 +315,7 @@ pub fn cg_abft_tasks(
         if mx && probe_hit {
             // --- SDC in x: localize the stencil envelope of A·e and
             // spawn the FEIR recovery as a dataflow task (AFEIR). ---
-            let thresh = (1e-2 * dmax).max(detect_tol * (1.0 + bnorm) * 1e-3);
+            let thresh = (1e-2 * dmax).max(detect_tol * (1.0 + cg.bnorm) * 1e-3);
             let lo = d.iter().position(|&v| v.abs() > thresh).unwrap_or(0);
             let hi = n - d.iter().rev().position(|&v| v.abs() > thresh).unwrap_or(0);
             let block = lo..hi.max(lo + 1);
@@ -470,10 +340,7 @@ pub fn cg_abft_tasks(
                 let (a, b_vec, x, block) =
                     (Arc::clone(&a), Arc::clone(&b_vec), x.clone(), block.clone());
                 rt.task("abft-feir-recovery")
-                    .region(
-                        x.sub(block.start as u64, block.end as u64),
-                        AccessMode::Write,
-                    )
+                    .region(rows(&x, &block), AccessMode::Write)
                     .idempotent(move || {
                         let rec =
                             recover_x_block(&a, &b_vec, &r_snap, &x_snap, block.clone(), local_tol);
@@ -515,15 +382,15 @@ pub fn cg_abft_tasks(
     let stats = rt.stats();
     let x_final = x.read().clone();
     AbftResult {
-        converged: rr.sqrt() / bnorm <= tol,
+        converged: cg.rel(rr) <= tol,
         x: x_final,
         iterations: iter,
         detections,
         recoveries,
         checksum_checks,
         probes,
-        tasks: stats.spawned,
-        edges: stats.edges,
+        tasks: stats.spawned - before.spawned,
+        edges: stats.edges - before.edges,
     }
 }
 
@@ -532,14 +399,8 @@ mod tests {
     use super::*;
     use crate::cg::cg;
     use crate::fault::FaultMode;
+    use crate::fixtures::system;
     use raa_runtime::{Runtime, RuntimeConfig};
-
-    fn system(nx: usize) -> (Arc<Csr>, Vec<f64>) {
-        let a = Csr::poisson2d(nx, nx);
-        let n = a.n();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i % 11) as f64) * 0.3).collect();
-        (Arc::new(a), b)
-    }
 
     fn true_rel_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
         a.residual_inf(x, b) / b.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
@@ -643,6 +504,25 @@ mod tests {
         assert_eq!(res.detections.len(), 1);
         assert_eq!(res.detections[0].kind, DetectedIn::X);
         assert!(true_rel_residual(&a, &b, &res.x) <= 1e-6);
+    }
+
+    #[test]
+    fn task_and_edge_counts_are_the_solves_own() {
+        let (a, b) = system(12);
+        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let cfg = AbftCfg {
+            blocks: 4,
+            ..Default::default()
+        };
+        let first = cg_abft_tasks(&rt, Arc::clone(&a), &b, None, &cfg);
+        let second = cg_abft_tasks(&rt, Arc::clone(&a), &b, None, &cfg);
+        assert!(first.converged && second.converged);
+        assert_eq!(first.iterations, second.iterations);
+        assert_eq!(
+            (first.tasks, first.edges),
+            (second.tasks, second.edges),
+            "a second solve on the same runtime reports its own counts"
+        );
     }
 
     #[test]

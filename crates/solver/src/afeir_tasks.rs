@@ -5,8 +5,11 @@
 //! workload of the solver … by scheduling the recoveries in tasks that
 //! are placed out of the critical path of the solver."
 //!
-//! This module runs the blocked task-parallel CG of [`crate::cg`] and,
-//! when the DUE strikes, submits two tasks instead of stalling:
+//! This module is a driver over the one blocked task-parallel CG program
+//! (`BlockedCg` in [`crate::cg`]): the iteration's tasks — labels,
+//! accesses, cost hints, reference streams — are that program's, and
+//! what is written here is only the DUE and its recovery. When the DUE
+//! strikes, the driver submits two tasks instead of stalling:
 //!
 //! 1. a **snapshot** task — cheap — that copies the algebraic inputs the
 //!    recovery needs (`r[block]`, `x` outside the block) into a private
@@ -21,8 +24,7 @@ use std::sync::Arc;
 
 use raa_runtime::{AccessMode, Runtime};
 
-use crate::blas::{axpy, block_ranges, dot, norm2, xpby};
-use crate::cg::CgScalars;
+use crate::cg::{rows, BlockedCg};
 use crate::csr::Csr;
 use crate::fault::FaultSpec;
 use crate::recovery::recover_x_block;
@@ -33,9 +35,10 @@ pub struct AfeirTasksResult {
     pub x: Vec<f64>,
     pub iterations: usize,
     pub converged: bool,
-    /// Tasks spawned in total (recovery included).
+    /// Tasks this solve spawned (recovery included) — not the runtime's
+    /// lifetime total.
     pub tasks: u64,
-    /// Dependency edges the runtime discovered.
+    /// Dependency edges the runtime discovered among them.
     pub edges: u64,
 }
 
@@ -80,25 +83,15 @@ pub fn cg_afeir_tasks(
         max_iters,
         local_tol,
     } = *cfg;
-    let n = a.n();
-    assert_eq!(b.len(), n);
-    assert!(fault.block.end <= n);
-    let ranges = block_ranges(n, blocks);
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
-
-    let x = rt.register("x", vec![0.0f64; n]);
-    let r = rt.register("r", b.to_vec());
-    let p = rt.register("p", b.to_vec());
-    let q = rt.register("q", vec![0.0f64; n]);
-    let pq_parts = rt.register("pq_parts", vec![0.0f64; blocks]);
-    let rr_parts = rt.register("rr_parts", vec![0.0f64; blocks]);
-    let scalars = rt.register("scalars", CgScalars::new(dot(b, b)));
+    assert!(fault.block.end <= a.n());
+    let before = rt.stats();
+    let cg = BlockedCg::new(rt, Arc::clone(&a), b, blocks);
     let b_vec = Arc::new(b.to_vec());
 
     let mut injected = false;
     let mut iter = 0usize;
-    let mut rr = dot(b, b);
-    while iter < max_iters && rr.sqrt() / bnorm > tol {
+    let mut rr = cg.scalars.read().rr;
+    while iter < max_iters && cg.rel(rr) > tol {
         // --- the DUE + its task-based recovery ---
         if !injected && iter == fault.at_iter {
             injected = true;
@@ -106,158 +99,29 @@ pub fn cg_afeir_tasks(
                 rt,
                 Arc::clone(&a),
                 Arc::clone(&b_vec),
-                &x,
-                &r,
+                &cg.x,
+                &cg.r,
                 &fault,
                 local_tol,
             );
         }
-
-        // --- one blocked CG iteration (same tasks as cg_tasks) ---
-        for (bi, range) in ranges.iter().enumerate() {
-            let (a, p, q, range) = (Arc::clone(&a), p.clone(), q.clone(), range.clone());
-            rt.task(format!("spmv[{bi}]"))
-                .reads(&p)
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Write,
-                )
-                .idempotent(move || {
-                    let pv = p.read();
-                    let mut qv = q.write();
-                    a.spmv_rows(range.clone(), &pv, &mut qv);
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (p, q, parts, range) = (p.clone(), q.clone(), pq_parts.clone(), range.clone());
-            rt.task(format!("dot_pq[{bi}]"))
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(pq_parts.sub(bi as u64, bi as u64 + 1), AccessMode::Write)
-                .idempotent(move || {
-                    let pv = p.read();
-                    let qv = q.read();
-                    parts.write()[bi] = dot(&pv[range.clone()], &qv[range.clone()]);
-                })
-                .spawn();
-        }
-        {
-            let (parts, scalars) = (pq_parts.clone(), scalars.clone());
-            rt.task("alpha")
-                .reads(&pq_parts)
-                .updates(&scalars)
-                .idempotent(move || {
-                    let pq: f64 = parts.read().iter().sum();
-                    let mut s = scalars.write();
-                    s.alpha = s.rr / pq;
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (x, r, p, q, scalars, range) = (
-                x.clone(),
-                r.clone(),
-                p.clone(),
-                q.clone(),
-                scalars.clone(),
-                range.clone(),
-            );
-            rt.task(format!("update_xr[{bi}]"))
-                .reads(&scalars)
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    x.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .idempotent(move || {
-                    let alpha = scalars.read().alpha;
-                    let pv = p.read();
-                    let qv = q.read();
-                    axpy(alpha, &pv[range.clone()], &mut x.write()[range.clone()]);
-                    axpy(-alpha, &qv[range.clone()], &mut r.write()[range.clone()]);
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (r, parts, range) = (r.clone(), rr_parts.clone(), range.clone());
-            rt.task(format!("dot_rr[{bi}]"))
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(rr_parts.sub(bi as u64, bi as u64 + 1), AccessMode::Write)
-                .idempotent(move || {
-                    let rv = r.read();
-                    parts.write()[bi] = dot(&rv[range.clone()], &rv[range.clone()]);
-                })
-                .spawn();
-        }
-        {
-            let (parts, scalars) = (rr_parts.clone(), scalars.clone());
-            rt.task("beta")
-                .reads(&rr_parts)
-                .updates(&scalars)
-                .idempotent(move || {
-                    let rr_new: f64 = parts.read().iter().sum();
-                    let mut s = scalars.write();
-                    s.beta = rr_new / s.rr;
-                    s.rr = rr_new;
-                })
-                .spawn();
-        }
-        for (bi, range) in ranges.iter().enumerate() {
-            let (r, p, scalars, range) = (r.clone(), p.clone(), scalars.clone(), range.clone());
-            rt.task(format!("update_p[{bi}]"))
-                .reads(&scalars)
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .idempotent(move || {
-                    let beta = scalars.read().beta;
-                    let rv = r.read();
-                    xpby(&rv[range.clone()], beta, &mut p.write()[range.clone()]);
-                })
-                .spawn();
-        }
+        cg.spawn_iteration(rt, || {});
         // `taskwait on(scalars)`: only the scalar chain is awaited, so
         // the recovery task overlaps freely across iterations — the §4
         // asynchrony, provided by the dependence system alone.
-        rt.taskwait_on(&scalars);
-        rr = scalars.read().rr;
+        rt.taskwait_on(&cg.scalars);
+        rr = cg.scalars.read().rr;
         iter += 1;
     }
     rt.taskwait();
     let stats = rt.stats();
-    let x_final = x.read().clone();
+    let x_final = cg.x.read().clone();
     AfeirTasksResult {
-        converged: rr.sqrt() / bnorm <= tol,
+        converged: cg.rel(rr) <= tol,
         x: x_final,
         iterations: iter,
-        tasks: stats.spawned,
-        edges: stats.edges,
+        tasks: stats.spawned - before.spawned,
+        edges: stats.edges - before.edges,
     }
 }
 
@@ -300,10 +164,7 @@ fn inject_and_recover(
         let (x, r, snap, block) = (x.clone(), r.clone(), snap.clone(), block.clone());
         rt.task("afeir-snapshot")
             .reads(&x)
-            .region(
-                r.sub(block.start as u64, block.end as u64),
-                AccessMode::Read,
-            )
+            .region(rows(&r, &block), AccessMode::Read)
             .writes(&snap)
             .idempotent(move || {
                 let xv = x.read();
@@ -319,10 +180,7 @@ fn inject_and_recover(
         let (x, snap, block) = (x.clone(), snap.clone(), block.clone());
         rt.task("afeir-recovery")
             .reads(&snap)
-            .region(
-                x.sub(block.start as u64, block.end as u64),
-                AccessMode::Write,
-            )
+            .region(rows(&x, &block), AccessMode::Write)
             .idempotent(move || {
                 let (x_snap, r_block) = snap.read().clone();
                 // Rebuild the full-r view the algebra expects: only
@@ -341,14 +199,8 @@ mod tests {
     use super::*;
     use crate::cg::cg;
     use crate::fault::FaultTarget;
+    use crate::fixtures::system;
     use raa_runtime::RuntimeConfig;
-
-    fn system(nx: usize) -> (Arc<Csr>, Vec<f64>) {
-        let a = Csr::poisson2d(nx, nx);
-        let n = a.n();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i % 11) as f64) * 0.3).collect();
-        (Arc::new(a), b)
-    }
 
     #[test]
     fn task_based_afeir_converges_on_ideal_trajectory() {
@@ -375,6 +227,26 @@ mod tests {
         assert!(rel < 1e-6, "true residual {rel}");
         // Recovery added exactly 2 tasks beyond the iteration structure.
         assert!(res.tasks > 0 && res.edges > 0);
+    }
+
+    #[test]
+    fn task_and_edge_counts_are_the_solves_own() {
+        let (a, b) = system(12);
+        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let fault = FaultSpec::new(10, 30..60, FaultTarget::X);
+        let cfg = AfeirTasksCfg {
+            blocks: 4,
+            ..Default::default()
+        };
+        let first = cg_afeir_tasks(&rt, Arc::clone(&a), &b, fault.clone(), &cfg);
+        let second = cg_afeir_tasks(&rt, Arc::clone(&a), &b, fault, &cfg);
+        assert!(first.converged && second.converged);
+        assert_eq!(first.iterations, second.iterations);
+        assert_eq!(
+            (first.tasks, first.edges),
+            (second.tasks, second.edges),
+            "a second solve on the same runtime reports its own counts"
+        );
     }
 
     #[test]

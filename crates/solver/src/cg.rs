@@ -3,7 +3,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use raa_runtime::{program, AccessMode, FaultReport, TaskScope};
+use raa_runtime::{program, AccessMode, DataHandle, FaultReport, Region, TaskScope};
 use raa_workloads::{AddressSpace, ArrayDecl, MemRef, RefClass, TraceEvent};
 
 use crate::blas::{axpy, block_ranges, dot, norm2, xpby};
@@ -279,52 +279,94 @@ impl CgLayout {
     }
 }
 
-/// [`cg_tasks`], but task failures (exhausted retries under fault
-/// injection, poisoned downstream reads) surface as a typed
-/// [`FaultReport`] instead of a panic — the entry point fault-injection
-/// campaigns drive.
-pub fn try_cg_tasks<S: TaskScope>(
-    rt: &S,
+/// The row block `range` of a solver vector, as a dependency region.
+pub(crate) fn rows(v: &DataHandle<Vec<f64>>, range: &Range<usize>) -> Region {
+    v.sub(range.start as u64, range.end as u64)
+}
+
+/// The blocked task-parallel CG program, declared once: the seven data
+/// of the solve, the [`CgLayout`] its bodies emit their reference
+/// streams against, and one iteration's tasks. [`try_cg_tasks`],
+/// [`crate::afeir_tasks::cg_afeir_tasks`] and
+/// [`crate::abft::cg_abft_tasks`] are drivers over it: each owns its
+/// convergence loop and what it adds around the iteration, none restates
+/// a task.
+pub(crate) struct BlockedCg {
     a: Arc<Csr>,
-    b: &[f64],
     blocks: usize,
-    tol: f64,
-    max_iters: usize,
-) -> Result<CgResult, FaultReport> {
-    let n = a.n();
-    assert_eq!(b.len(), n);
-    let ranges = block_ranges(n, blocks);
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
-
-    let x = rt.register("x", vec![0.0f64; n]);
-    let r = rt.register("r", b.to_vec());
-    let p = rt.register("p", b.to_vec());
-    let q = rt.register("q", vec![0.0f64; n]);
+    ranges: Vec<Range<usize>>,
+    pub(crate) x: DataHandle<Vec<f64>>,
+    pub(crate) r: DataHandle<Vec<f64>>,
+    pub(crate) p: DataHandle<Vec<f64>>,
+    pub(crate) q: DataHandle<Vec<f64>>,
     // Per-block partial dot products, reduced by a join task.
-    let pq_parts = rt.register("pq_parts", vec![0.0f64; blocks]);
-    let rr_parts = rt.register("rr_parts", vec![0.0f64; blocks]);
-    let scalars = rt.register("scalars", CgScalars::new(dot(b, b)));
+    pq_parts: DataHandle<Vec<f64>>,
+    rr_parts: DataHandle<Vec<f64>>,
+    pub(crate) scalars: DataHandle<CgScalars>,
+    layout: Arc<CgLayout>,
+    pub(crate) bnorm: f64,
+}
 
-    // The classified address-space picture of the solve. When the
-    // runtime records a program, each task body emits its reference
-    // stream against these addresses (a no-op otherwise), and the
-    // SPM-mappable ranges ride along for hybrid-machine replay.
-    let layout = Arc::new(CgLayout::new(n, a.nnz(), blocks));
-    rt.declare_spm_ranges(&layout.spm_ranges);
+impl BlockedCg {
+    /// Register the solve's data in `rt` (x = 0, r = p = b) and declare
+    /// its SPM-mappable ranges.
+    pub(crate) fn new<S: TaskScope>(rt: &S, a: Arc<Csr>, b: &[f64], blocks: usize) -> Self {
+        let n = a.n();
+        assert_eq!(b.len(), n);
+        // The classified address-space picture of the solve. When the
+        // runtime records a program, each task body emits its reference
+        // stream against these addresses (a no-op otherwise), and the
+        // SPM-mappable ranges ride along for hybrid-machine replay.
+        let layout = Arc::new(CgLayout::new(n, a.nnz(), blocks));
+        rt.declare_spm_ranges(&layout.spm_ranges);
+        BlockedCg {
+            blocks,
+            ranges: block_ranges(n, blocks),
+            x: rt.register("x", vec![0.0f64; n]),
+            r: rt.register("r", b.to_vec()),
+            p: rt.register("p", b.to_vec()),
+            q: rt.register("q", vec![0.0f64; n]),
+            pq_parts: rt.register("pq_parts", vec![0.0f64; blocks]),
+            rr_parts: rt.register("rr_parts", vec![0.0f64; blocks]),
+            scalars: rt.register("scalars", CgScalars::new(dot(b, b))),
+            layout,
+            bnorm: norm2(b).max(f64::MIN_POSITIVE),
+            a,
+        }
+    }
 
-    let mut iter = 0;
-    let mut rr = dot(b, b);
-    while iter < max_iters && rr.sqrt() / bnorm > tol {
+    /// Relative residual `√rr / ‖b‖` of a recurrence value `rr`.
+    pub(crate) fn rel(&self, rr: f64) -> f64 {
+        rr.sqrt() / self.bnorm
+    }
+
+    /// Spawn one CG iteration into `rt`. `after_spmv` runs on the
+    /// spawning thread between the SpMV tasks and the `pᵀq` dots — where
+    /// a task a driver spawns from it sees the whole `p` and `q` of
+    /// this iteration (ABFT's checksum sums; the other two drivers pass
+    /// an empty closure).
+    pub(crate) fn spawn_iteration<S: TaskScope>(&self, rt: &S, after_spmv: impl FnOnce()) {
+        let BlockedCg {
+            a,
+            ranges,
+            x,
+            r,
+            p,
+            q,
+            pq_parts,
+            rr_parts,
+            scalars,
+            layout,
+            ..
+        } = self;
+        let blocks = self.blocks;
         // q = A p (one task per row block; each depends on all of p).
         for (bi, range) in ranges.iter().enumerate() {
-            let (a, p, q, range) = (Arc::clone(&a), p.clone(), q.clone(), range.clone());
-            let lay = Arc::clone(&layout);
+            let (a, p, q, range) = (Arc::clone(a), p.clone(), q.clone(), range.clone());
+            let lay = Arc::clone(layout);
             rt.task(format!("spmv[{bi}]"))
                 .reads(&p)
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Write,
-                )
+                .region(rows(&q, &range), AccessMode::Write)
                 .cost((range.len() * 5) as u64)
                 .idempotent(move || {
                     let pv = p.read();
@@ -334,19 +376,14 @@ pub fn try_cg_tasks<S: TaskScope>(
                 })
                 .spawn();
         }
+        after_spmv();
         // Partial dots pᵀq.
         for (bi, range) in ranges.iter().enumerate() {
             let (p, q, parts, range) = (p.clone(), q.clone(), pq_parts.clone(), range.clone());
-            let lay = Arc::clone(&layout);
+            let lay = Arc::clone(layout);
             rt.task(format!("dot_pq[{bi}]"))
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
+                .region(rows(&p, &range), AccessMode::Read)
+                .region(rows(&q, &range), AccessMode::Read)
                 .region(pq_parts.sub(bi as u64, bi as u64 + 1), AccessMode::Write)
                 .cost(range.len() as u64)
                 .idempotent(move || {
@@ -360,9 +397,9 @@ pub fn try_cg_tasks<S: TaskScope>(
         // alpha = rr / sum(parts)
         {
             let (parts, scalars) = (pq_parts.clone(), scalars.clone());
-            let lay = Arc::clone(&layout);
+            let lay = Arc::clone(layout);
             rt.task("alpha")
-                .reads(&pq_parts)
+                .reads(pq_parts)
                 .updates(&scalars)
                 .cost(blocks as u64)
                 .idempotent(move || {
@@ -383,25 +420,13 @@ pub fn try_cg_tasks<S: TaskScope>(
                 scalars.clone(),
                 range.clone(),
             );
-            let lay = Arc::clone(&layout);
+            let lay = Arc::clone(layout);
             rt.task(format!("update_xr[{bi}]"))
                 .reads(&scalars)
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    q.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    x.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
+                .region(rows(&p, &range), AccessMode::Read)
+                .region(rows(&q, &range), AccessMode::Read)
+                .region(rows(&x, &range), AccessMode::ReadWrite)
+                .region(rows(&r, &range), AccessMode::ReadWrite)
                 .cost(range.len() as u64 * 2)
                 .idempotent(move || {
                     let alpha = scalars.read().alpha;
@@ -421,12 +446,9 @@ pub fn try_cg_tasks<S: TaskScope>(
         // Partial dots rᵀr.
         for (bi, range) in ranges.iter().enumerate() {
             let (r, parts, range) = (r.clone(), rr_parts.clone(), range.clone());
-            let lay = Arc::clone(&layout);
+            let lay = Arc::clone(layout);
             rt.task(format!("dot_rr[{bi}]"))
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
+                .region(rows(&r, &range), AccessMode::Read)
                 .region(rr_parts.sub(bi as u64, bi as u64 + 1), AccessMode::Write)
                 .cost(range.len() as u64)
                 .idempotent(move || {
@@ -439,9 +461,9 @@ pub fn try_cg_tasks<S: TaskScope>(
         // beta + p update need the new rr.
         {
             let (parts, scalars) = (rr_parts.clone(), scalars.clone());
-            let lay = Arc::clone(&layout);
+            let lay = Arc::clone(layout);
             rt.task("beta")
-                .reads(&rr_parts)
+                .reads(rr_parts)
                 .updates(&scalars)
                 .cost(blocks as u64)
                 .idempotent(move || {
@@ -455,17 +477,11 @@ pub fn try_cg_tasks<S: TaskScope>(
         }
         for (bi, range) in ranges.iter().enumerate() {
             let (r, p, scalars, range) = (r.clone(), p.clone(), scalars.clone(), range.clone());
-            let lay = Arc::clone(&layout);
+            let lay = Arc::clone(layout);
             rt.task(format!("update_p[{bi}]"))
                 .reads(&scalars)
-                .region(
-                    r.sub(range.start as u64, range.end as u64),
-                    AccessMode::Read,
-                )
-                .region(
-                    p.sub(range.start as u64, range.end as u64),
-                    AccessMode::ReadWrite,
-                )
+                .region(rows(&r, &range), AccessMode::Read)
+                .region(rows(&p, &range), AccessMode::ReadWrite)
                 .cost(range.len() as u64)
                 .idempotent(move || {
                     let beta = scalars.read().beta;
@@ -475,24 +491,44 @@ pub fn try_cg_tasks<S: TaskScope>(
                 })
                 .spawn();
         }
+    }
+}
+
+/// [`cg_tasks`], but task failures (exhausted retries under fault
+/// injection, poisoned downstream reads) surface as a typed
+/// [`FaultReport`] instead of a panic — the entry point fault-injection
+/// campaigns drive.
+pub fn try_cg_tasks<S: TaskScope>(
+    rt: &S,
+    a: Arc<Csr>,
+    b: &[f64],
+    blocks: usize,
+    tol: f64,
+    max_iters: usize,
+) -> Result<CgResult, FaultReport> {
+    let cg = BlockedCg::new(rt, a, b, blocks);
+    let mut iter = 0;
+    let mut rr = cg.scalars.read().rr;
+    while iter < max_iters && cg.rel(rr) > tol {
+        cg.spawn_iteration(rt, || {});
         // The scalar recurrence needs rr on the host: wait only for the
         // scalar chain (OmpSs `taskwait on`), so long-running tasks from
         // earlier iterations — e.g. an AFEIR recovery — keep overlapping.
-        rt.taskwait_on(&scalars);
+        rt.taskwait_on(&cg.scalars);
         // A poisoned region means a task exhausted its retries: the
         // scalar recurrence can no longer be trusted, so stop spawning
         // iterations and let `try_taskwait` assemble the report.
         if !rt.poisoned_regions().is_empty() {
             break;
         }
-        rr = scalars.read().rr;
+        rr = cg.scalars.read().rr;
         iter += 1;
     }
     rt.try_wait()?;
-    let xv = x.read().clone();
+    let xv = cg.x.read().clone();
     Ok(CgResult {
-        converged: rr.sqrt() / bnorm <= tol,
-        rel_residual: rr.sqrt() / bnorm,
+        converged: cg.rel(rr) <= tol,
+        rel_residual: cg.rel(rr),
         x: xv,
         iterations: iter,
     })
@@ -672,6 +708,57 @@ mod tests {
         // taskwait sentinels do not).
         assert!(prog.stream_count() <= prog.len());
         assert!(prog.measured_count() >= prog.stream_count());
+    }
+
+    #[test]
+    fn three_drivers_run_one_program() {
+        use crate::abft::{cg_abft_tasks, AbftCfg};
+        use crate::afeir_tasks::{cg_afeir_tasks, AfeirTasksCfg};
+        use crate::fault::{FaultSpec, FaultTarget};
+
+        let (a, b) = crate::fixtures::system(12);
+        let (blocks, tol, max_iters) = (4, 1e-9, 2000);
+        // A DUE scheduled past the last iteration: it never fires.
+        let never = FaultSpec::new(usize::MAX, 0..1, FaultTarget::X);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for workers in [1, 3] {
+            let rt = || Runtime::new(RuntimeConfig::with_workers(workers));
+            let plain_rt = rt();
+            let plain = cg_tasks(&plain_rt, Arc::clone(&a), &b, blocks, tol, max_iters);
+            let plain_tasks = plain_rt.stats().spawned;
+            assert!(plain.converged);
+            let afeir_cfg = AfeirTasksCfg {
+                blocks,
+                tol,
+                max_iters,
+                ..Default::default()
+            };
+            let afeir = cg_afeir_tasks(&rt(), Arc::clone(&a), &b, never.clone(), &afeir_cfg);
+            let abft_cfg = AbftCfg {
+                blocks,
+                tol,
+                max_iters,
+                ..Default::default()
+            };
+            let abft = cg_abft_tasks(&rt(), Arc::clone(&a), &b, None, &abft_cfg);
+            // Partial dots are summed in block order, so the arithmetic
+            // is the same under any schedule: bit-identical, not close.
+            assert_eq!(bits(&afeir.x), bits(&plain.x), "{workers} workers");
+            assert_eq!(bits(&abft.x), bits(&plain.x), "{workers} workers");
+            assert_eq!(afeir.iterations, plain.iterations);
+            assert_eq!(abft.iterations, plain.iterations);
+            assert_eq!(afeir.tasks, plain_tasks);
+            // ABFT's hook adds exactly its one sums task per iteration.
+            assert_eq!(abft.tasks, plain_tasks + plain.iterations as u64);
+        }
+        // The shared iteration carries the reference streams, so an AFEIR
+        // solve is replayable like the plain one.
+        let rt = Runtime::new(RuntimeConfig::with_workers(2).record_program(true));
+        let res = cg_afeir_tasks(&rt, a, &b, never, &AfeirTasksCfg::default());
+        assert!(res.converged);
+        let prog = rt.program().expect("recording enabled");
+        assert!(prog.stream_count() > 0, "AFEIR task bodies emitted streams");
+        assert!(!prog.spm_ranges().is_empty());
     }
 
     #[test]

@@ -64,3 +64,20 @@ pub use csr::Csr;
 pub use fault::{FaultMode, FaultSpec, FaultTarget};
 pub use monitor::ConvergenceTrace;
 pub use resilient::{run_scheme, run_scheme_multi, ResilientCfg, Scheme};
+
+/// The system the task-CG drivers' unit tests share.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use std::sync::Arc;
+
+    use crate::csr::Csr;
+
+    /// `nx`×`nx` Poisson matrix with a right-hand side that is no
+    /// eigenvector, so CG takes its full iteration count.
+    pub(crate) fn system(nx: usize) -> (Arc<Csr>, Vec<f64>) {
+        let a = Csr::poisson2d(nx, nx);
+        let n = a.n();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i % 11) as f64) * 0.3).collect();
+        (Arc::new(a), b)
+    }
+}
